@@ -9,6 +9,7 @@
 #include "smtlib/Digest.h"
 #include "solver/CrossCache.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace staub;
@@ -639,60 +640,118 @@ void BitBlaster::assertTrueShared(Term T, SharedSolveCaches &Caches) {
 std::shared_ptr<const BlastTemplate>
 BitBlaster::buildTemplate(Term T, SharedSolveCaches &Caches,
                           const BlastKey &Key) {
-  // Blast the assertion alone into a scratch solver whose variable space
-  // starts at 1. The template is NOT the raw Tseitin stream: after
-  // encoding, the root is asserted and the level-0-simplified database is
-  // snapshotted (copySimplifiedCnf). Simplifying under root=true is sound
-  // because the template's meaning is "assertion holds" — every splice
-  // asserts the root — and it is what keeps splicing competitive with
-  // direct blasting, which gets the same simplification for free by
-  // asserting each assertion before encoding the next (level-0
-  // propagation discharges most guard/comparator clauses at add time).
-  SatSolver Scratch;
-  auto Built = std::make_shared<BlastTemplate>();
-  BitBlaster ScratchBlaster(Manager, Scratch);
-  Built->Root = ScratchBlaster.encodeBool(T);
-  for (Term Var : Manager.collectVariables(T)) {
-    Sort S = Manager.sort(Var);
-    TemplateVarBinding Binding;
-    Binding.Name = Manager.variableName(Var);
-    if (S.isBool()) {
-      Binding.Width = 0;
-      Binding.Bits = {ScratchBlaster.encodeBool(Var)};
-    } else if (S.isBitVec()) {
-      Binding.Width = S.bitVecWidth();
-      Binding.Bits = ScratchBlaster.encodeBv(Var);
-    } else {
+  std::vector<Term> Variables = Manager.collectVariables(T);
+  for (Term Var : Variables)
+    if (!Manager.sort(Var).isBool() && !Manager.sort(Var).isBitVec())
       return nullptr; // Unbounded-sort variable: not a blastable assertion.
-    }
-    Built->Vars.push_back(std::move(Binding));
-  }
-  Built->NumVars = Scratch.numVars();
 
-  if (!Scratch.addUnit(Built->Root)) {
-    // The assertion is unsatisfiable on its own; an empty clause is the
+  // Blast the group alone into a scratch solver the way direct blasting
+  // would: conjunct by conjunct, range atoms first, each asserted as soon
+  // as it is encoded. Level-0 propagation then pins the bounded bits and
+  // discharges most of the later circuits' clauses at add time.
+  std::vector<Term> Conjuncts = {T};
+  if (Manager.kind(T) == Kind::And)
+    Conjuncts = Manager.childrenCopy(T);
+  std::stable_partition(Conjuncts.begin(), Conjuncts.end(), [&](Term C) {
+    return rangeAtomVariable(Manager, C).isValid();
+  });
+  SatSolver Scratch;
+  BitBlaster ScratchBlaster(Manager, Scratch);
+  bool Consistent = true;
+  for (Term C : Conjuncts)
+    if (!Scratch.addUnit(ScratchBlaster.encodeBool(C))) {
+      Consistent = false;
+      break;
+    }
+
+  auto Built = std::make_shared<BlastTemplate>();
+  Built->NumVars = BlastTemplate::ConstantVar;
+  if (!Consistent) {
+    // The group is unsatisfiable on its own; an empty clause is the
     // smallest template that reproduces that in any host.
-    Built->Clauses.push_back({});
+    Built->Clauses.add({});
     Caches.Blast.insert(Key, Built);
     return Built;
   }
-  Built->Clauses = Scratch.copySimplifiedCnf();
 
-  // Probe: a bounded solve of this one assertion (root asserted) whose
-  // learnt clauses are implied by the assertion ALONE — unlike learnts
-  // from a full query solve, these are sound in any query containing the
-  // assertion, which is what makes a cross-query clause store possible.
+  std::vector<TemplateVarBinding> Bindings;
+  for (Term Var : Variables) {
+    TemplateVarBinding Binding;
+    Binding.Name = Manager.variableName(Var);
+    if (Manager.sort(Var).isBool()) {
+      Binding.Bits = {ScratchBlaster.encodeBool(Var)};
+    } else {
+      Binding.Width = Manager.sort(Var).bitVecWidth();
+      Binding.Bits = ScratchBlaster.encodeBv(Var);
+    }
+    Bindings.push_back(std::move(Binding));
+  }
+
+  // Renumber: every level-0 fixed variable folds into the constant, and
+  // the free variables a clause or binding uses become 2..NumVars in
+  // scratch order, which keeps circuit inputs ahead of gate outputs.
+  std::vector<std::vector<Lit>> Clauses = Scratch.copySimplifiedClauses();
+  std::vector<bool> Used(Scratch.numVars() + 1, false);
+  for (const std::vector<Lit> &Clause : Clauses)
+    for (Lit L : Clause)
+      Used[L.var()] = true;
+  for (const TemplateVarBinding &Binding : Bindings)
+    for (Lit L : Binding.Bits)
+      Used[L.var()] = true;
+  const Lit Constant(BlastTemplate::ConstantVar, false);
+  std::vector<Lit> Local(Scratch.numVars() + 1); // Lit(): not numbered.
+  for (unsigned Var = 1; Var <= Scratch.numVars(); ++Var) {
+    LBool Fixed = Scratch.value(Lit(Var, false));
+    if (Fixed != LBool::Undef)
+      Local[Var] = Fixed == LBool::True ? Constant : ~Constant;
+    else if (Used[Var])
+      Local[Var] = Lit(++Built->NumVars, false);
+  }
+  auto ToLocal = [&](Lit L) {
+    Lit Mapped = Local[L.var()];
+    return L.negated() ? ~Mapped : Mapped;
+  };
+
+  size_t TotalLits = 0;
+  for (const std::vector<Lit> &Clause : Clauses)
+    TotalLits += Clause.size() + 1;
+  Built->Clauses.Lits.reserve(TotalLits);
+  std::vector<Lit> Mapped;
+  for (const std::vector<Lit> &Clause : Clauses) {
+    Mapped.clear();
+    for (Lit L : Clause)
+      Mapped.push_back(ToLocal(L));
+    Built->Clauses.add(Mapped);
+  }
+  for (TemplateVarBinding &Binding : Bindings)
+    for (Lit &L : Binding.Bits)
+      L = ToLocal(L);
+  Built->Vars = std::move(Bindings);
+
+  // Probe: a bounded solve of this one group whose learnt clauses are
+  // implied by the group ALONE — unlike learnts from a full query solve,
+  // these are sound in any query containing the group, which is what
+  // makes a cross-query clause store possible. A learnt that mentions a
+  // variable the template dropped or folded is left out.
   if (Caches.ProbeConflicts > 0) {
     SatBudget Probe;
     Probe.MaxConflicts = Caches.ProbeConflicts;
     Scratch.solve(Probe);
-    std::vector<std::vector<Lit>> LearntClauses = Scratch.copyLearnts(
-        Caches.MaxStoredClauses, Caches.MaxStoredClauseLits);
-    if (!LearntClauses.empty()) {
-      auto Stored = std::make_shared<ClauseTemplate>();
-      Stored->Clauses = std::move(LearntClauses);
-      Caches.Clauses.insert(Key, std::move(Stored));
+    auto Stored = std::make_shared<ClauseTemplate>();
+    for (const std::vector<Lit> &Learnt : Scratch.copyLearnts(
+             Caches.MaxStoredClauses, Caches.MaxStoredClauseLits)) {
+      Mapped.clear();
+      for (Lit L : Learnt) {
+        Lit M = ToLocal(L);
+        if (M.var() <= BlastTemplate::ConstantVar)
+          break;
+        Mapped.push_back(M);
+      }
+      if (Mapped.size() == Learnt.size())
+        Stored->Clauses.add(Mapped);
     }
+    if (Stored->Clauses.Count > 0)
+      Caches.Clauses.insert(Key, std::move(Stored));
   }
 
   Caches.Blast.insert(Key, Built);
@@ -700,63 +759,79 @@ BitBlaster::buildTemplate(Term T, SharedSolveCaches &Caches,
 }
 
 void BitBlaster::spliceTemplate(const BlastTemplate &Template,
-                                const std::vector<std::vector<Lit>> *Learnts) {
-  // Relocate local variables 1..NumVars to fresh host variables.
-  unsigned Base = Solver.numVars();
-  for (unsigned I = 0; I < Template.NumVars; ++I)
-    Solver.newVar();
-  auto Remap = [Base](Lit L) { return Lit(L.var() + Base, L.negated()); };
-
-  auto AddRemapped = [&](const std::vector<Lit> &Clause) {
-    std::vector<Lit> Remapped;
-    Remapped.reserve(Clause.size());
-    for (Lit L : Clause)
-      Remapped.push_back(Remap(L));
-    Solver.addClause(std::move(Remapped));
+                                const ClauseList *Learnts) {
+  // Substitute: Map[v] is the host literal local variable v stands for
+  // (Lit() until bound). The constant is the host's true literal; a
+  // variable's bits bind to the host's encoding when it has one.
+  std::vector<Lit> Map(Template.NumVars + 1);
+  Map[BlastTemplate::ConstantVar] = TrueLit;
+  auto Bind = [&](Lit LocalLit, Lit Host) {
+    Lit &Slot = Map[LocalLit.var()];
+    Lit Want = LocalLit.negated() ? ~Host : Host;
+    if (!Slot.var()) {
+      Slot = Want;
+    } else if (Slot != Want) {
+      // One local variable bound twice (e.g. a bit this group fixes that
+      // the host encodes as a free variable): bridge the two.
+      Solver.addBinary(~Slot, Want);
+      Solver.addBinary(Slot, ~Want);
+    }
   };
-  for (const std::vector<Lit> &Clause : Template.Clauses)
-    AddRemapped(Clause);
-  Solver.addUnit(Remap(Template.Root));
-  if (Learnts) {
-    for (const std::vector<Lit> &Clause : *Learnts)
-      AddRemapped(Clause);
-    CrossClausesReused += Learnts->size();
-  }
 
-  // Re-establish variable identity by name: install the template's
-  // literals as the variable's encoding, or bridge to an existing
-  // encoding with per-bit biconditionals when another assertion (or an
-  // earlier splice) already encoded it.
-  auto Bridge = [&](Lit A, Lit B) {
-    Solver.addBinary(~A, B);
-    Solver.addBinary(A, ~B);
-  };
+  // Variables the host does not encode yet adopt the template's bits,
+  // once every local variable has a host literal.
+  std::vector<std::pair<Term, const TemplateVarBinding *>> Adopt;
   for (const TemplateVarBinding &Binding : Template.Vars) {
     Term Var = Manager.lookupVariable(Binding.Name);
     if (!Var.isValid())
       continue; // Possible only under digest fault injection.
     Sort S = Manager.sort(Var);
     if (Binding.Width == 0 && S.isBool()) {
-      Lit L = Remap(Binding.Bits[0]);
       auto Found = BoolCache.find(Var.id());
       if (Found == BoolCache.end())
-        BoolCache.emplace(Var.id(), L);
+        Adopt.push_back({Var, &Binding});
       else
-        Bridge(Found->second, L);
+        Bind(Binding.Bits[0], Found->second);
     } else if (S.isBitVec() && S.bitVecWidth() == Binding.Width) {
-      Word Bits;
-      Bits.reserve(Binding.Bits.size());
-      for (Lit L : Binding.Bits)
-        Bits.push_back(Remap(L));
       auto Found = BvCache.find(Var.id());
-      if (Found == BvCache.end()) {
-        BvCache.emplace(Var.id(), std::move(Bits));
-      } else {
-        for (size_t I = 0; I < Bits.size(); ++I)
-          Bridge(Found->second[I], Bits[I]);
-      }
+      if (Found == BvCache.end())
+        Adopt.push_back({Var, &Binding});
+      else
+        for (size_t I = 0; I < Binding.Bits.size(); ++I)
+          Bind(Binding.Bits[I], Found->second[I]);
     }
     // Width mismatch: leave unbound (digest fault injection territory).
+  }
+  for (unsigned Var = BlastTemplate::ConstantVar + 1; Var <= Template.NumVars;
+       ++Var)
+    if (!Map[Var].var())
+      Map[Var] = fresh();
+  auto ToHost = [&Map](Lit L) {
+    Lit Host = Map[L.var()];
+    return L.negated() ? ~Host : Host;
+  };
+  for (const auto &[Var, Binding] : Adopt) {
+    Word Bits;
+    Bits.reserve(Binding->Bits.size());
+    for (Lit L : Binding->Bits)
+      Bits.push_back(ToHost(L));
+    if (Binding->Width == 0)
+      BoolCache.emplace(Var.id(), Bits[0]);
+    else
+      BvCache.emplace(Var.id(), std::move(Bits));
+  }
+
+  auto AddMapped = [&](const Lit *Begin, const Lit *End) {
+    std::vector<Lit> Clause;
+    Clause.reserve(static_cast<size_t>(End - Begin));
+    for (const Lit *L = Begin; L != End; ++L)
+      Clause.push_back(ToHost(*L));
+    Solver.addClause(std::move(Clause));
+  };
+  Template.Clauses.forEach(AddMapped);
+  if (Learnts) {
+    Learnts->forEach(AddMapped);
+    CrossClausesReused += Learnts->Count;
   }
 }
 

@@ -30,6 +30,7 @@ namespace staub {
 class DigestComputer;
 struct BlastKey;
 struct BlastTemplate;
+struct ClauseList;
 struct SharedSolveCaches;
 
 /// Encodes terms into an attached SatSolver.
@@ -43,9 +44,10 @@ public:
 
   /// Like assertTrue(), but routed through the cross-query caches
   /// (solver/CrossCache.h): on a digest hit the assertion's cached CNF
-  /// template (plus any stored probe learnts) is spliced in instead of
-  /// re-blasting; on a miss the assertion is blasted once into a scratch
-  /// solver, recorded, probed, cached, and then spliced identically.
+  /// template (plus any stored probe learnts) is spliced in by
+  /// substitution instead of re-blasting; on a miss the assertion is
+  /// blasted once into a scratch solver, compacted, probed, cached, and
+  /// then spliced identically.
   void assertTrueShared(Term T, SharedSolveCaches &Caches);
 
   /// Cross-query cache traffic caused by this blaster's
@@ -83,7 +85,7 @@ private:
   std::shared_ptr<const BlastTemplate>
   buildTemplate(Term T, SharedSolveCaches &Caches, const BlastKey &Key);
   void spliceTemplate(const BlastTemplate &Template,
-                      const std::vector<std::vector<Lit>> *Learnts);
+                      const ClauseList *Learnts);
 
   Lit falseLit() const { return ~TrueLit; }
   Lit fresh();

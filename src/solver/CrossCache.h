@@ -6,43 +6,54 @@
 ///
 /// \file
 /// The sharded cross-query caches behind staubd (ROADMAP item 1): a
-/// (digest, width)-keyed blast cache of relocatable CNF templates and a
-/// matching learnt-clause store. Keys are canonical structural digests
+/// (digest, width)-keyed blast cache of compact CNF templates and a
+/// matching learnt-clause store, plus the grouping that decides what one
+/// cache entry covers. Keys are canonical structural digests
 /// (smtlib/Digest.h), so per-worker TermManager instances share entries
 /// without a global interning lock — each worker blasts against its own
 /// manager and only the CNF (pure literal vectors) crosses threads.
 ///
-/// A BlastTemplate is the complete CNF of ONE assertion, blasted in a
-/// private scratch solver whose literal space starts at variable 1. To
-/// apply it, BitBlaster::assertTrueShared() offsets every literal by the
-/// destination solver's current variable count and re-adds the clauses —
-/// the same splice path runs on a cold miss (right after recording), so
-/// hits and misses produce byte-identical CNF. Variable identity across
-/// templates is restored by name: the template remembers each SMT
-/// variable's literal vector, and the splicer either installs those
-/// literals as the variable's encoding or, when the variable is already
-/// encoded, adds per-bit biconditional bridge clauses.
+/// A BlastTemplate is the level-0 simplified CNF of ONE assertion group,
+/// blasted in a private scratch solver the way direct blasting would
+/// blast it: conjunct by conjunct, range atoms first, each asserted as
+/// soon as it is encoded. Every variable the scratch solver fixed at
+/// level 0 is folded into local variable 1, the constant true, so the
+/// template carries no unit clauses and none of those variables; the
+/// remaining free variables are renumbered 2..NumVars in blasting order.
+/// The template remembers each SMT variable's local literals. To apply
+/// it, BitBlaster::assertTrueShared() substitutes: every local variable
+/// maps through a table onto the host's existing literal (a variable the
+/// host already encodes, or the host's constant) or onto a fresh host
+/// variable, and the clauses are re-added under that map. A bridge
+/// clause pair is only needed when one local variable is bound to two
+/// different host literals (e.g. a bit the template fixed that the host
+/// encodes as a free variable). The same splice runs on a cold miss
+/// (right after recording), so hits and misses produce identical CNF.
 ///
 /// The ClauseStore holds clauses learnt by a bounded "probe" solve run on
-/// the scratch solver of a single assertion. Because the probe sees only
-/// that assertion's CNF (plus its asserted root), every learnt clause is
-/// implied by the assertion alone and is therefore sound to splice into
-/// ANY query that contains the assertion — unlike learnts from a full
-/// query solve, which are only implied by the whole conjunction.
+/// the scratch solver of a single group. Because the probe sees only that
+/// group's CNF, every learnt clause is implied by the group alone and is
+/// therefore sound to splice into ANY query that contains it — unlike
+/// learnts from a full query solve, which are only implied by the whole
+/// conjunction. Probe learnts are stored in the template's local space.
 ///
-/// Both caches use the same sharded 2Q-lite replacement: a probationary
-/// FIFO (A1) and a protected LRU (Am); entries promote to Am on their
-/// first hit and eviction drains A1 before touching Am, so one-shot
-/// queries cannot flush the hot working set. Memory is bounded in bytes
-/// per shard; hit/miss/insert/evict counters are process-wide atomics
-/// surfaced through StaubOutcome, the server's `stats` verb, and
-/// `staubd --stats`.
+/// Both caches use the same sharded 2Q replacement: a probationary FIFO
+/// (A1) and a protected LRU (Am); entries promote to Am on their first
+/// hit. A1 keeps a fixed share of each shard (A1QuotaPercent): eviction
+/// takes A1's oldest entry only while A1 is over that quota, and Am's
+/// least recent entry otherwise, so one-shot queries cannot flush the hot
+/// working set and a full Am cannot starve new entries of a first hit.
+/// The newest entry is evicted only when nothing else is left. Memory is
+/// bounded in bytes per shard; hit/miss/insert/evict counters are
+/// process-wide atomics surfaced through StaubOutcome, the server's
+/// `stats` verb, and `staubd --stats`.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef STAUB_SOLVER_CROSSCACHE_H
 #define STAUB_SOLVER_CROSSCACHE_H
 
+#include "smtlib/Term.h"
 #include "solver/Sat.h"
 
 #include <atomic>
@@ -73,6 +84,30 @@ struct BlastKeyHash {
   }
 };
 
+/// A clause list stored flat in DIMACS order: each clause's literals
+/// followed by a Lit() (variable 0) terminator. One allocation per list
+/// instead of one per clause keeps cached templates small.
+struct ClauseList {
+  std::vector<Lit> Lits;
+  size_t Count = 0;
+
+  void add(const std::vector<Lit> &Clause) {
+    Lits.insert(Lits.end(), Clause.begin(), Clause.end());
+    Lits.push_back(Lit());
+    ++Count;
+  }
+  /// Calls \p Fn(const Lit *Begin, const Lit *End) once per clause.
+  template <typename FnT> void forEach(FnT &&Fn) const {
+    const Lit *Begin = Lits.data();
+    for (const Lit &L : Lits)
+      if (L.var() == 0) {
+        Fn(Begin, &L);
+        Begin = &L + 1;
+      }
+  }
+  size_t bytes() const { return Lits.capacity() * sizeof(Lit); }
+};
+
 /// One SMT variable's literals inside a template's local literal space.
 /// Width 0 means a Bool variable with a single literal.
 struct TemplateVarBinding {
@@ -81,11 +116,14 @@ struct TemplateVarBinding {
   std::vector<Lit> Bits;
 };
 
-/// Relocatable CNF of one blasted assertion (local variables 1..NumVars).
+/// Compact CNF of one blasted assertion group. Local variable
+/// ConstantVar is the constant true; 2..NumVars are the variables the
+/// scratch solver left free at level 0, and only those occur in Clauses.
+/// Bindings may use the constant (bits the group fixes).
 struct BlastTemplate {
+  static constexpr unsigned ConstantVar = 1;
   unsigned NumVars = 0;
-  std::vector<std::vector<Lit>> Clauses;
-  Lit Root;
+  ClauseList Clauses;
   std::vector<TemplateVarBinding> Vars;
   size_t bytes() const;
 };
@@ -93,7 +131,7 @@ struct BlastTemplate {
 /// Probe-solve learnt clauses in the SAME local literal space as the
 /// blast template they were learnt from.
 struct ClauseTemplate {
-  std::vector<std::vector<Lit>> Clauses;
+  ClauseList Clauses;
   size_t bytes() const;
 };
 
@@ -108,11 +146,16 @@ struct CacheStats {
   uint64_t CapacityBytes = 0;
 };
 
-/// Sharded (digest, width) -> shared_ptr<const Entry> cache with 2Q-lite
+/// Sharded (digest, width) -> shared_ptr<const Entry> cache with 2Q
 /// replacement. Thread-safe; lookups return shared ownership so an entry
 /// stays alive while a worker splices it even if it is evicted meanwhile.
 template <typename EntryT> class ShardedTemplateCache {
 public:
+  static constexpr size_t NumShards = 16;
+  /// Share of a shard's bytes the probationary FIFO may hold before its
+  /// oldest entries become the eviction victims (2Q's Kin).
+  static constexpr size_t A1QuotaPercent = 25;
+
   explicit ShardedTemplateCache(size_t CapacityBytes)
       : Capacity(CapacityBytes) {}
 
@@ -130,6 +173,7 @@ public:
     } else {
       // First hit: promote from probation to the protected LRU.
       S.Am.splice(S.Am.begin(), S.A1, N.Where);
+      S.A1Bytes -= N.Bytes;
       N.Protected = true;
     }
     Hits.fetch_add(1, std::memory_order_relaxed);
@@ -154,6 +198,7 @@ public:
     N.Where = S.A1.begin();
     S.Map.emplace(Key, std::move(N));
     S.Bytes += EntryBytes;
+    S.A1Bytes += EntryBytes;
     Insertions.fetch_add(1, std::memory_order_relaxed);
     evictLocked(S);
   }
@@ -174,8 +219,6 @@ public:
   }
 
 private:
-  static constexpr size_t NumShards = 16;
-
   struct Node {
     std::shared_ptr<const EntryT> Entry;
     size_t Bytes = 0;
@@ -189,6 +232,7 @@ private:
     std::list<BlastKey> A1; ///< Probationary FIFO (front = newest).
     std::list<BlastKey> Am; ///< Protected LRU (front = most recent).
     size_t Bytes = 0;
+    size_t A1Bytes = 0;
   };
 
   Shard &shardFor(const BlastKey &Key) {
@@ -196,13 +240,21 @@ private:
   }
 
   void evictLocked(Shard &S) {
-    size_t PerShard = Capacity / NumShards;
+    const size_t PerShard = Capacity / NumShards;
+    const size_t A1Quota = PerShard * A1QuotaPercent / 100;
     while (S.Bytes > PerShard && !(S.A1.empty() && S.Am.empty())) {
-      std::list<BlastKey> &Victims = S.A1.empty() ? S.Am : S.A1;
+      // A1's oldest entry goes while A1 is over its quota; otherwise Am's
+      // least recent. The newest entry (A1's front) goes only when
+      // nothing else is left, so every insert gets its chance at a hit.
+      bool FromA1 =
+          S.Am.empty() || (S.A1Bytes > A1Quota && S.A1.size() > 1);
+      std::list<BlastKey> &Victims = FromA1 ? S.A1 : S.Am;
       BlastKey Victim = Victims.back();
       Victims.pop_back();
       auto Found = S.Map.find(Victim);
       S.Bytes -= Found->second.Bytes;
+      if (FromA1)
+        S.A1Bytes -= Found->second.Bytes;
       S.Map.erase(Found);
       Evictions.fetch_add(1, std::memory_order_relaxed);
     }
@@ -245,6 +297,22 @@ struct SharedSolveCaches {
   /// wrong CNF. The cache-consistency fuzz oracle must catch this.
   bool InjectBadDigest = false;
 };
+
+/// The variable of a range atom, or an invalid term. A range atom is a
+/// bitvector comparison between a variable and a constant, e.g. a
+/// translated box bound. Grouping copies range atoms into the groups that
+/// mention their variable, and template building asserts them first.
+Term rangeAtomVariable(const TermManager &Manager, Term T);
+
+/// Groups a translated query into cache entries, one conjunction per
+/// translated assertion: the assertion, the guards its translation
+/// emitted (\p GuardOwner[j] owns Assertions[TranslatedCount + j]), and
+/// every bare range atom over a variable the group mentions. The
+/// conjunction over all groups equals the conjunction of \p Assertions.
+std::vector<Term> groupForCrossCache(TermManager &Manager,
+                                     const std::vector<Term> &Assertions,
+                                     size_t TranslatedCount,
+                                     const std::vector<uint32_t> &GuardOwner);
 
 } // namespace staub
 

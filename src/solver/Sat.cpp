@@ -122,48 +122,60 @@ bool SatSolver::addClause(std::vector<Lit> Clause) {
   // clauses) while the trail still holds the last model; reset first.
   backtrack(0);
 
-  // Normalize: drop duplicates and false literals, detect tautologies and
-  // satisfied clauses.
+  // Normalize in place: drop duplicates and false literals, detect
+  // tautologies and satisfied clauses.
   std::sort(Clause.begin(), Clause.end(),
             [](Lit A, Lit B) { return A.index() < B.index(); });
-  std::vector<Lit> Normalized;
+  size_t Kept = 0;
+  Lit Previous; // Variable 0: never a real literal.
   for (size_t I = 0; I < Clause.size(); ++I) {
     Lit L = Clause[I];
     if (I + 1 < Clause.size() && Clause[I + 1] == ~L)
       return true; // Tautology.
-    if (I > 0 && Clause[I - 1] == L)
+    if (L == Previous)
       continue;
+    Previous = L;
     LBool V = value(L);
     if (V == LBool::True)
       return true; // Already satisfied at level 0.
     if (V == LBool::False)
       continue; // Falsified at level 0; drop.
-    Normalized.push_back(L);
+    Clause[Kept++] = L;
   }
+  Clause.resize(Kept);
 
-  if (Normalized.empty()) {
+  if (Clause.empty()) {
     Unsatisfiable = true;
     return false;
   }
-  if (Normalized.size() == 1) {
-    enqueue(Normalized[0], -1);
+  if (Clause.size() == 1) {
+    enqueue(Clause[0], -1);
     if (propagate() >= 0) {
       Unsatisfiable = true;
       return false;
     }
     return true;
   }
-  uint32_t Index = allocClause(std::move(Normalized), /*Learnt=*/false);
+  uint32_t Index = allocClause(std::move(Clause), /*Learnt=*/false);
   watchClause(Index);
   return true;
 }
 
 std::vector<std::vector<Lit>> SatSolver::copySimplifiedCnf() const {
-  assert(decisionLevel() == 0 && "level-0 snapshot above level 0");
   std::vector<std::vector<Lit>> Result;
-  Result.reserve(Trail.size() + Clauses.size());
+  Result.reserve(Trail.size());
   for (Lit L : Trail)
     Result.push_back({L});
+  std::vector<std::vector<Lit>> Clauses = copySimplifiedClauses();
+  Result.insert(Result.end(), std::make_move_iterator(Clauses.begin()),
+                std::make_move_iterator(Clauses.end()));
+  return Result;
+}
+
+std::vector<std::vector<Lit>> SatSolver::copySimplifiedClauses() const {
+  assert(decisionLevel() == 0 && "level-0 snapshot above level 0");
+  std::vector<std::vector<Lit>> Result;
+  Result.reserve(Clauses.size());
   for (const Clause &C : Clauses) {
     if (C.Learnt || C.Lits.empty())
       continue;

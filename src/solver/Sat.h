@@ -117,14 +117,19 @@ public:
 
   /// Level-0 snapshot of the clause database: every trail literal as a
   /// unit clause (units first, so a replay re-derives the assignments
-  /// before the long clauses arrive), then every non-learnt clause not
-  /// satisfied at level 0, with falsified literals stripped. Replaying
-  /// the result into a fresh solver reproduces this solver's level-0
-  /// state. The cross-query blast cache snapshots a scratch solver this
-  /// way: it is typically a fraction of the clauses addClause() was fed,
-  /// because asserting the assertion root first lets level-0 propagation
-  /// discharge most of the CNF. Must be called at decision level 0.
+  /// before the long clauses arrive), then copySimplifiedClauses().
+  /// Replaying the result into a fresh solver reproduces this solver's
+  /// level-0 state. Must be called at decision level 0.
   std::vector<std::vector<Lit>> copySimplifiedCnf() const;
+
+  /// Every non-learnt clause not satisfied at level 0, with falsified
+  /// literals stripped; no trail units. Only variables unassigned at level
+  /// 0 occur in it. The cross-query blast cache builds its templates from
+  /// this plus value() of the level-0 fixed variables: it is typically a
+  /// fraction of the clauses addClause() was fed, because asserting each
+  /// conjunct as it is encoded lets level-0 propagation discharge most of
+  /// the CNF. Must be called at decision level 0.
+  std::vector<std::vector<Lit>> copySimplifiedClauses() const;
 
   /// Copies up to \p MaxClauses learnt clauses of at most \p MaxLits
   /// literals out of the database. The cross-query clause store seeds
@@ -162,11 +167,15 @@ private:
   std::vector<bool> Seen; ///< Scratch for conflict analysis.
 
   /// Activity-ordered max-heap of decision candidates (MiniSat-style
-  /// order heap). HeapPosition[var-1] is the index in Heap or -1.
+  /// order heap). HeapPosition[var-1] is the index in Heap or -1. Ties
+  /// go to the lowest variable index: blasting allocates a circuit's
+  /// input bits before its gate outputs, so before the first conflict the
+  /// solver decides inputs and lets propagation evaluate the gates.
   std::vector<unsigned> Heap;
   std::vector<int> HeapPosition;
   bool heapLess(unsigned A, unsigned B) const {
-    return Activities[A - 1] > Activities[B - 1];
+    double ActA = Activities[A - 1], ActB = Activities[B - 1];
+    return ActA > ActB || (ActA == ActB && A < B);
   }
   void heapPercolateUp(size_t Index);
   void heapPercolateDown(size_t Index);

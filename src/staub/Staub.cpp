@@ -6,6 +6,7 @@
 
 #include "staub/Staub.h"
 
+#include "solver/CrossCache.h"
 #include "staub/BoundInference.h"
 #include "support/Timer.h"
 
@@ -285,78 +286,10 @@ StaubOutcome staub::runStaub(TermManager &Manager,
   std::vector<Term> ToSolve = Transform.Assertions;
   if (Optimizer)
     ToSolve = Optimizer(Manager, ToSolve);
-  else if (Options.Solve.Shared) {
-    // Cross-query cache path: conjoin each translated assertion with the
-    // guards its translation emitted, so one (digest, width) cache entry
-    // carries a guarded operation's whole cone. Left separate, a guard's
-    // template would re-blast the multiplier/adder circuit it shares
-    // with its owner (self-contained templates cannot share subcircuits
-    // across entries), doubling both the cached bytes and the clauses
-    // spliced per query. Satisfiability is unchanged — same conjuncts,
-    // different grouping.
-    std::vector<std::vector<Term>> Groups(Transform.TranslatedCount);
-    for (size_t I = 0; I < Transform.TranslatedCount; ++I)
-      Groups[I].push_back(Transform.Assertions[I]);
-    for (size_t J = 0; J < Transform.GuardOwner.size(); ++J)
-      Groups[Transform.GuardOwner[J]].push_back(
-          Transform.Assertions[Transform.TranslatedCount + J]);
-
-    // Second grouping pass: copy variable range atoms (var-vs-constant
-    // comparisons, e.g. translated box bounds) into every multi-conjunct
-    // group mentioning the variable. Direct blasting asserts the bounds
-    // before encoding later assertions, so level-0 propagation pins the
-    // high bits of every bounded variable and discharges most of a wide
-    // multiplier's clauses at add time. A self-contained template cannot
-    // see a bound asserted elsewhere; conjoining the atom lets the
-    // scratch solver's level-0 snapshot perform the same discharge, and
-    // the duplicated comparator circuit is tiny next to the clauses it
-    // removes. Each range atom keeps its own group, so the conjunction
-    // over all groups is unchanged.
-    auto RangeAtomVar = [&](Term T) -> Term {
-      switch (Manager.kind(T)) {
-      case Kind::BvUle:
-      case Kind::BvUlt:
-      case Kind::BvUge:
-      case Kind::BvUgt:
-      case Kind::BvSle:
-      case Kind::BvSlt:
-      case Kind::BvSge:
-      case Kind::BvSgt:
-        break;
-      default:
-        return Term();
-      }
-      Term A = Manager.child(T, 0), B = Manager.child(T, 1);
-      if (Manager.kind(A) == Kind::Variable &&
-          Manager.kind(B) == Kind::ConstBitVec)
-        return A;
-      if (Manager.kind(B) == Kind::Variable &&
-          Manager.kind(A) == Kind::ConstBitVec)
-        return B;
-      return Term();
-    };
-    std::vector<std::pair<Term, Term>> RangeAtoms; // (variable, atom)
-    for (size_t I = 0; I < Transform.TranslatedCount; ++I)
-      if (Groups[I].size() == 1)
-        if (Term Var = RangeAtomVar(Groups[I][0]); Var.isValid())
-          RangeAtoms.push_back({Var, Groups[I][0]});
-    if (!RangeAtoms.empty()) {
-      for (std::vector<Term> &Group : Groups) {
-        if (Group.size() == 1 && RangeAtomVar(Group[0]).isValid())
-          continue; // The atom's own group stays a bare atom.
-        std::vector<Term> Mentioned =
-            Manager.collectVariables(Manager.mkAnd(Group));
-        for (const auto &[Var, Atom] : RangeAtoms)
-          if (std::find(Mentioned.begin(), Mentioned.end(), Var) !=
-              Mentioned.end())
-            Group.push_back(Atom);
-      }
-    }
-
-    ToSolve.clear();
-    for (std::vector<Term> &Group : Groups)
-      ToSolve.push_back(Group.size() == 1 ? Group[0] : Manager.mkAnd(Group));
-  }
+  else if (Options.Solve.Shared)
+    ToSolve = groupForCrossCache(Manager, Transform.Assertions,
+                                 Transform.TranslatedCount,
+                                 Transform.GuardOwner);
   Outcome.TransSeconds = Timer.elapsedSeconds();
 
   // Step 3: solve the bounded constraint.

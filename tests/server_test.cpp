@@ -7,16 +7,19 @@
 /// \file
 /// Covers the staubd stack bottom-up: digest stability across
 /// TermManager instances, protocol framing edge cases over socketpairs,
-/// evaluateQuery cache semantics (warm agreement, eviction under
-/// pressure), live-server round trips over TCP, graceful-shutdown
+/// the blast-cache template format and its substitution splice, 2Q
+/// replacement, evaluateQuery cache semantics (warm agreement, eviction
+/// under pressure), live-server round trips over TCP, graceful-shutdown
 /// draining, and — under the tsan preset's "Parallel" filter — many
 /// concurrent clients hammering the shared cache shards.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "benchgen/Generators.h"
 #include "server/Server.h"
 #include "smtlib/Digest.h"
 #include "smtlib/Parser.h"
+#include "solver/BitBlaster.h"
 
 #include <gtest/gtest.h>
 
@@ -243,8 +246,88 @@ TEST(FramingTest, CleanCloseBetweenFramesIsEof) {
 }
 
 //===--------------------------------------------------------------------===//
+// 2Q replacement.
+//===--------------------------------------------------------------------===//
+
+/// \p Count keys that land in the same shard as Digest 1.
+std::vector<BlastKey> keysInOneShard(size_t Count) {
+  constexpr size_t Shards = ClauseStore::NumShards;
+  size_t Target = BlastKeyHash{}(BlastKey{1, 8}) % Shards;
+  std::vector<BlastKey> Keys;
+  for (uint64_t Digest = 1; Keys.size() < Count; ++Digest)
+    if (BlastKeyHash{}(BlastKey{Digest, 8}) % Shards == Target)
+      Keys.push_back(BlastKey{Digest, 8});
+  return Keys;
+}
+
+std::shared_ptr<const ClauseTemplate> entryOfOneClause() {
+  auto Entry = std::make_shared<ClauseTemplate>();
+  Entry->Clauses.add({Lit(2, false), Lit(3, true)});
+  return Entry;
+}
+
+TEST(CrossCacheTest, TwoQAdmitsNewEntriesAndEvictsFromAm) {
+  // Measure one entry's charge, then size a shard for four and a half
+  // entries: A1's quota (a quarter) holds one entry.
+  size_t EntryBytes;
+  {
+    ClauseStore Probe(1u << 20);
+    Probe.insert(BlastKey{1, 8}, entryOfOneClause());
+    EntryBytes = Probe.stats().Bytes;
+  }
+  ClauseStore Cache(ClauseStore::NumShards * (4 * EntryBytes + EntryBytes / 2));
+  std::vector<BlastKey> Keys = keysInOneShard(7);
+
+  // Fill the shard's protected LRU: four entries, each hit once.
+  for (size_t I = 0; I < 4; ++I) {
+    Cache.insert(Keys[I], entryOfOneClause());
+    ASSERT_TRUE(Cache.lookup(Keys[I]));
+  }
+  EXPECT_EQ(Cache.stats().Evictions, 0u);
+
+  // A new key must survive its own insert: A1 is within its quota, so
+  // the victim is Am's least recent entry (Keys[0]).
+  Cache.insert(Keys[4], entryOfOneClause());
+  EXPECT_EQ(Cache.stats().Evictions, 1u);
+  EXPECT_TRUE(Cache.lookup(Keys[4]));
+  EXPECT_FALSE(Cache.lookup(Keys[0]));
+
+  // One-shot keys beyond A1's quota recycle A1 among themselves: the
+  // second one evicts the first, not the hot set.
+  Cache.insert(Keys[5], entryOfOneClause()); // A1 at quota: Am loses Keys[1].
+  Cache.insert(Keys[6], entryOfOneClause()); // A1 over quota: Keys[5] goes.
+  EXPECT_FALSE(Cache.lookup(Keys[5]));
+  EXPECT_TRUE(Cache.lookup(Keys[6]));
+  for (size_t I : {2, 3, 4})
+    EXPECT_TRUE(Cache.lookup(Keys[I])) << "key " << I;
+  EXPECT_FALSE(Cache.lookup(Keys[1]));
+}
+
+//===--------------------------------------------------------------------===//
 // evaluateQuery cache semantics.
 //===--------------------------------------------------------------------===//
+
+/// A bounded QF_BV group in the shape grouping produces: range atoms
+/// conjoined with a multiplier row over the same variables.
+const char *BvGroupQuery =
+    "(declare-const x (_ BitVec 16))\n"
+    "(declare-const y (_ BitVec 16))\n"
+    "(assert (and (bvule x #x0014) (bvuge (bvmul x y) #x001e)))\n";
+
+/// Literals of each clause of \p Clauses, one vector per clause.
+std::vector<std::vector<Lit>> clausesOf(const ClauseList &Clauses) {
+  std::vector<std::vector<Lit>> Result;
+  Clauses.forEach([&](const Lit *Begin, const Lit *End) {
+    Result.emplace_back(Begin, End);
+  });
+  return Result;
+}
+
+BlastKey keyOf(const TermManager &Manager, Term T) {
+  DigestComputer Digests(Manager);
+  TermDigest D = Digests.digest(T);
+  return BlastKey{D.Hash, D.MaxBitVecWidth};
+}
 
 TEST(EvaluateQueryTest, ColdAndWarmAgreeAndWarmHits) {
   SharedSolveCaches Caches;
@@ -258,6 +341,115 @@ TEST(EvaluateQueryTest, ColdAndWarmAgreeAndWarmHits) {
   EXPECT_EQ(Warm.Status, SolveStatus::Sat);
   EXPECT_GT(Warm.CrossBlastHits, 0u);
   EXPECT_EQ(Warm.CrossBlastMisses, 0u);
+
+  // The template of a miss: level-0 fixed variables fold into the
+  // constant, so no unit clause survives and NumVars counts only the free
+  // variables plus the constant.
+  TermManager Manager;
+  ParseResult Parsed = parseSmtLib(Manager, BvGroupQuery);
+  ASSERT_TRUE(Parsed.Ok) << Parsed.Error;
+  Term Group = Parsed.Parsed.Assertions[0];
+  Term X = Manager.lookupVariable("x"), Y = Manager.lookupVariable("y");
+  SharedSolveCaches Shared;
+  {
+    SatSolver Host;
+    BitBlaster Blaster(Manager, Host);
+    Blaster.assertTrueShared(Group, Shared);
+    EXPECT_EQ(Blaster.crossMisses(), 1u);
+    ASSERT_EQ(Host.solve(), SatStatus::Sat);
+    Model M = Blaster.extractModel({X, Y});
+    EXPECT_TRUE(evaluatesToTrue(Manager, Group, M));
+  }
+  std::shared_ptr<const BlastTemplate> Template =
+      Shared.Blast.lookup(keyOf(Manager, Group));
+  ASSERT_TRUE(Template);
+  std::vector<bool> Free(Template->NumVars + 1, false);
+  for (const std::vector<Lit> &Clause : clausesOf(Template->Clauses)) {
+    EXPECT_GE(Clause.size(), 2u) << "level-0 unit clause in a template";
+    for (Lit L : Clause) {
+      ASSERT_LE(L.var(), Template->NumVars);
+      EXPECT_NE(L.var(), BlastTemplate::ConstantVar);
+      Free[L.var()] = true;
+    }
+  }
+  ASSERT_EQ(Template->Vars.size(), 2u);
+  const TemplateVarBinding &XBits = Template->Vars[0].Name == "x"
+                                        ? Template->Vars[0]
+                                        : Template->Vars[1];
+  const TemplateVarBinding &YBits = Template->Vars[0].Name == "y"
+                                        ? Template->Vars[0]
+                                        : Template->Vars[1];
+  // x <= 20 pins x's bits 5..15 to zero at level 0; y stays free.
+  for (unsigned Bit = 5; Bit < 16; ++Bit)
+    EXPECT_EQ(XBits.Bits[Bit], Lit(BlastTemplate::ConstantVar, true))
+        << "x bit " << Bit;
+  for (const TemplateVarBinding &Binding : Template->Vars)
+    for (Lit L : Binding.Bits)
+      if (L.var() != BlastTemplate::ConstantVar)
+        Free[L.var()] = true;
+  for (Lit L : YBits.Bits)
+    ASSERT_NE(L.var(), BlastTemplate::ConstantVar);
+  unsigned Used = 0;
+  for (unsigned V = BlastTemplate::ConstantVar + 1; V <= Template->NumVars;
+       ++V)
+    Used += Free[V];
+  EXPECT_EQ(Template->NumVars, Used + 1);
+
+  // A warm splice into a host that already encodes y maps y's bits
+  // straight onto the host's literals: the host grows by the template's
+  // other variables and its clauses only — no host variables and no
+  // bridge clauses for y's bits.
+  {
+    SatSolver Host;
+    BitBlaster Blaster(Manager, Host);
+    Blaster.encodeBool(Manager.mkEq(Y, Manager.mkBitVecConst(
+                                           BitVecValue(16, BigInt(3)))));
+    unsigned VarsBefore = Host.numVars();
+    size_t ClausesBefore = Host.copySimplifiedCnf().size();
+    Blaster.assertTrueShared(Group, Shared);
+    EXPECT_EQ(Blaster.crossHits(), 1u);
+    EXPECT_EQ(Host.numVars() - VarsBefore,
+              Template->NumVars - 1 - YBits.Bits.size());
+    EXPECT_EQ(Host.copySimplifiedCnf().size() - ClausesBefore,
+              Template->Clauses.Count);
+    ASSERT_EQ(Host.solve(), SatStatus::Sat);
+    Model M = Blaster.extractModel({X, Y});
+    EXPECT_TRUE(evaluatesToTrue(Manager, Group, M));
+  }
+
+  // Spliced and direct runs agree on verdict and verified model over a
+  // seeded VC-stream sample, with cold caches and then warm ones.
+  TermManager StreamManager;
+  BenchConfig Config;
+  Config.Seed = 7;
+  std::vector<GeneratedConstraint> Stream =
+      generateVcStreamSuite(StreamManager, Config, /*Bases=*/3,
+                            /*Variants=*/2);
+  std::unique_ptr<SolverBackend> Backend = createMiniSmtSolver();
+  StaubOptions Direct;
+  Direct.Solve.TimeoutSeconds = 10.0;
+  StaubOptions Spliced = Direct;
+  SharedSolveCaches StreamCaches;
+  Spliced.Solve.Shared = &StreamCaches;
+  for (const char *Pass : {"cold", "warm"}) {
+    uint64_t Misses = 0;
+    for (const GeneratedConstraint &G : Stream) {
+      StaubOutcome D = runStaub(StreamManager, G.Assertions, *Backend, Direct);
+      StaubOutcome S =
+          runStaub(StreamManager, G.Assertions, *Backend, Spliced);
+      Misses += S.CrossBlastCacheMisses;
+      EXPECT_EQ(S.Path, D.Path) << Pass << " " << G.Name;
+      if (S.Path == StaubPath::VerifiedSat) {
+        EXPECT_TRUE(evaluatesToTrue(StreamManager,
+                                    StreamManager.mkAnd(G.Assertions),
+                                    S.VerifiedModel))
+            << Pass << " " << G.Name;
+      }
+    }
+    if (std::string(Pass) == "warm") {
+      EXPECT_EQ(Misses, 0u);
+    }
+  }
 }
 
 TEST(EvaluateQueryTest, NearDuplicateVariantSharesEntries) {

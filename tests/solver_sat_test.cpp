@@ -56,6 +56,22 @@ TEST(SatTest, UnitPropagationChain) {
     EXPECT_TRUE(S.modelValue(V[I]));
 }
 
+TEST(SatTest, ZeroActivityDecisionsTakeLowestIndexFirst) {
+  // Pairs (v_i or v_{11-i}) with saved phases all false: deciding the
+  // lower index first (false) propagates its partner true. Any other tie
+  // order decides some partner first and flips that pair.
+  SatSolver S;
+  for (unsigned I = 0; I < 10; ++I)
+    S.newVar();
+  for (unsigned I = 1; I <= 5; ++I)
+    S.addBinary(pos(I), pos(11 - I));
+  ASSERT_EQ(S.solve(), SatStatus::Sat);
+  EXPECT_EQ(S.numConflicts(), 0u);
+  for (unsigned I = 1; I <= 10; ++I)
+    EXPECT_EQ(S.modelValue(I), I > 5) << "variable " << I;
+  EXPECT_EQ(S.numDecisions(), 5u);
+}
+
 TEST(SatTest, RequiresConflictAnalysis) {
   // XOR-like structure that needs real search.
   SatSolver S;
