@@ -5,8 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The narrowing kernels shared by the ICP solver (solver/Icp.cpp) and the
-/// presolver (analysis/Presolve.cpp). Two groups:
+/// The exact interval kernels over the unbounded semantics. Two groups:
 ///
 ///  * Full-precision *forward* kernels over analysis::Interval that track
 ///    unbounded endpoints exactly (unlike the deliberately coarse parity
@@ -14,9 +13,9 @@
 ///    top because elision/lint clamp with the width range anyway):
 ///    multiplication with IEEE-like endpoint-infinity rules, exact
 ///    division via the reciprocal interval, dependency-aware powers, and
-///    integral endpoint tightening. These used to live as member
-///    functions of the solver's own interval type; they are deduplicated
-///    here and the solver delegates.
+///    integral endpoint tightening. BoxEvaluator (analysis/BoxEvaluator.h)
+///    is built on them; it judges boxes for both the presolver and the
+///    ICP search (solver/Icp.cpp).
 ///
 ///  * HC4-revise-style *backward* transfer functions: given the interval
 ///    a result is known to lie in, narrow an operand. The presolver

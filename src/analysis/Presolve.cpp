@@ -6,6 +6,7 @@
 
 #include "analysis/Presolve.h"
 
+#include "analysis/BoxEvaluator.h"
 #include "analysis/Contract.h"
 #include "analysis/Zone.h"
 #include "smtlib/Printer.h"
@@ -30,37 +31,6 @@ std::string_view analysis::toString(PresolveVerdict V) {
 }
 
 namespace {
-
-/// Kleene truth value under the current ranges/assignments: True means
-/// true in every model consistent with them.
-enum class Tri : uint8_t { False, True, Unknown };
-
-Tri triOf(bool B) { return B ? Tri::True : Tri::False; }
-
-/// a <= b from operand intervals. Empty operands yield Unknown: the
-/// contraction entry check reports the contradiction with better
-/// provenance.
-Tri cmpLe(const Interval &A, const Interval &B) {
-  if (A.Empty || B.Empty)
-    return Tri::Unknown;
-  if (A.Hi && B.Lo && *A.Hi <= *B.Lo)
-    return Tri::True;
-  if (A.Lo && B.Hi && *B.Hi < *A.Lo)
-    return Tri::False;
-  return Tri::Unknown;
-}
-
-Tri cmpLt(const Interval &A, const Interval &B) {
-  if (A.Empty || B.Empty)
-    return Tri::Unknown;
-  if (A.Hi && B.Lo && *A.Hi < *B.Lo)
-    return Tri::True;
-  if (A.Lo && B.Hi && *B.Hi <= *A.Lo)
-    return Tri::False;
-  return Tri::Unknown;
-}
-
-bool isNumericSort(const Sort &S) { return S.isInt() || S.isReal(); }
 
 /// The whole pass lives in one stateful engine: flatten, fixpoint
 /// (forward tri-state evaluation + backward HC4 contraction), Boolean
@@ -93,9 +63,15 @@ private:
   /// Original assertion indices that contributed to a variable's
   /// narrowing (certificate provenance).
   std::unordered_map<uint32_t, std::set<unsigned>> Sources;
-  /// Forward-evaluation memo; cleared whenever a range or assignment
-  /// changes.
-  std::unordered_map<uint32_t, Interval> Memo;
+  /// Forward evaluation over Ranges and BoolAssign; its memo is cleared
+  /// whenever a range or assignment changes.
+  BoxEvaluator Eval{M, [this](Term Var) { return rangeOf(Var); },
+                    [this](Term Var) {
+                      auto It = BoolAssign.find(Var.id());
+                      if (It == BoolAssign.end())
+                        return Tri::Unknown;
+                      return It->second ? Tri::True : Tri::False;
+                    }};
   /// All variables of the input, in first-seen order (deterministic
   /// materialization).
   std::vector<Term> Vars;
@@ -122,7 +98,7 @@ private:
 
   void invalidate() {
     Changed = true;
-    Memo.clear();
+    Eval.clear();
   }
 
   void flatten(Term T, unsigned Root) {
@@ -139,8 +115,8 @@ private:
     return It == Ranges.end() ? Interval::top() : It->second;
   }
 
-  Interval iv(Term T);
-  Tri tri(Term T);
+  Interval iv(Term T) { return Eval.iv(T); }
+  Tri tri(Term T) { return Eval.tri(T); }
   void contractFormula(Term T, bool Target, unsigned CIdx);
   void contractCompare(Kind K, Term A, Term B, bool Target, unsigned CIdx);
   void contractTerm(Term T, const Interval &Target, unsigned CIdx);
@@ -159,234 +135,6 @@ private:
   void buildCertificate(PresolveResult &R) const;
   void materialize(PresolveResult &R);
 };
-
-//===--------------------------------------------------------------------===//
-// Forward evaluation.
-//===--------------------------------------------------------------------===//
-
-Interval Engine::iv(Term T) {
-  auto Found = Memo.find(T.id());
-  if (Found != Memo.end())
-    return Found->second;
-
-  Interval R = Interval::top();
-  switch (M.kind(T)) {
-  case Kind::ConstInt:
-    R = Interval::point(Rational(M.intValue(T)));
-    break;
-  case Kind::ConstReal:
-    R = Interval::point(M.realValue(T));
-    break;
-  case Kind::Variable:
-    R = rangeOf(T);
-    break;
-  case Kind::Neg:
-    R = negI(iv(M.child(T, 0)));
-    break;
-  case Kind::IntAbs:
-    R = absI(iv(M.child(T, 0)));
-    break;
-  case Kind::Add: {
-    R = iv(M.child(T, 0));
-    for (unsigned I = 1; I < M.numChildren(T); ++I)
-      R = addI(R, iv(M.child(T, I)));
-    break;
-  }
-  case Kind::Sub: {
-    R = iv(M.child(T, 0));
-    for (unsigned I = 1; I < M.numChildren(T); ++I)
-      R = subI(R, iv(M.child(T, I)));
-    break;
-  }
-  case Kind::Mul: {
-    // Group identical factors so even powers are known non-negative
-    // (plain interval products lose the x*x dependency).
-    std::vector<std::pair<uint32_t, unsigned>> Groups;
-    for (Term Child : M.children(T)) {
-      bool Seen = false;
-      for (auto &[Id, Count] : Groups)
-        if (Id == Child.id()) {
-          ++Count;
-          Seen = true;
-          break;
-        }
-      if (!Seen)
-        Groups.emplace_back(Child.id(), 1);
-    }
-    bool First = true;
-    for (const auto &[Id, Count] : Groups) {
-      Interval Factor = powFullI(iv(Term(Id)), Count);
-      R = First ? Factor : mulFullI(R, Factor);
-      First = false;
-    }
-    break;
-  }
-  case Kind::RealDiv:
-    // divFullI is top when the divisor may be zero: solvers treat
-    // division by zero as unconstrained, so no narrowing is sound.
-    R = divFullI(iv(M.child(T, 0)), iv(M.child(T, 1)));
-    break;
-  case Kind::IntDiv: {
-    Interval Q = divFullI(iv(M.child(T, 0)), iv(M.child(T, 1)));
-    // Euclidean division: real-division hull +-1.
-    if (!Q.Empty) {
-      if (Q.Lo)
-        Q.Lo = *Q.Lo - Rational(1);
-      if (Q.Hi)
-        Q.Hi = *Q.Hi + Rational(1);
-    }
-    R = Q;
-    break;
-  }
-  case Kind::IntMod: {
-    Interval Divisor = iv(M.child(T, 1));
-    if (!Divisor.Empty && !Divisor.contains(Rational(0))) {
-      // Euclidean remainder: 0 <= mod < |divisor|.
-      Interval AbsDiv = absI(Divisor);
-      R.Lo = Rational(0);
-      if (AbsDiv.Hi)
-        R.Hi = *AbsDiv.Hi - Rational(1);
-    }
-    break;
-  }
-  case Kind::Ite: {
-    Tri Cond = tri(M.child(T, 0));
-    if (Cond == Tri::True)
-      R = iv(M.child(T, 1));
-    else if (Cond == Tri::False)
-      R = iv(M.child(T, 2));
-    else
-      R = hull(iv(M.child(T, 1)), iv(M.child(T, 2)));
-    break;
-  }
-  default:
-    break;
-  }
-  if (M.sort(T).isInt())
-    R = roundToIntI(R);
-  Memo.emplace(T.id(), R);
-  return R;
-}
-
-Tri Engine::tri(Term T) {
-  switch (M.kind(T)) {
-  case Kind::ConstBool:
-    return triOf(M.boolValue(T));
-  case Kind::Variable: {
-    auto It = BoolAssign.find(T.id());
-    return It == BoolAssign.end() ? Tri::Unknown : triOf(It->second);
-  }
-  case Kind::Not: {
-    Tri Inner = tri(M.child(T, 0));
-    if (Inner == Tri::Unknown)
-      return Tri::Unknown;
-    return Inner == Tri::True ? Tri::False : Tri::True;
-  }
-  case Kind::And: {
-    bool AnyUnknown = false;
-    for (Term Child : M.children(T)) {
-      Tri V = tri(Child);
-      if (V == Tri::False)
-        return Tri::False;
-      if (V == Tri::Unknown)
-        AnyUnknown = true;
-    }
-    return AnyUnknown ? Tri::Unknown : Tri::True;
-  }
-  case Kind::Or: {
-    bool AnyUnknown = false;
-    for (Term Child : M.children(T)) {
-      Tri V = tri(Child);
-      if (V == Tri::True)
-        return Tri::True;
-      if (V == Tri::Unknown)
-        AnyUnknown = true;
-    }
-    return AnyUnknown ? Tri::Unknown : Tri::False;
-  }
-  case Kind::Implies: {
-    Tri A = tri(M.child(T, 0)), B = tri(M.child(T, 1));
-    if (A == Tri::False || B == Tri::True)
-      return Tri::True;
-    if (A == Tri::True && B == Tri::False)
-      return Tri::False;
-    return Tri::Unknown;
-  }
-  case Kind::Xor: {
-    bool Acc = false;
-    for (Term Child : M.children(T)) {
-      Tri V = tri(Child);
-      if (V == Tri::Unknown)
-        return Tri::Unknown;
-      Acc = Acc != (V == Tri::True);
-    }
-    return triOf(Acc);
-  }
-  case Kind::Eq: {
-    if (M.sort(M.child(T, 0)).isBool()) {
-      Tri First = tri(M.child(T, 0));
-      bool AllKnown = First != Tri::Unknown;
-      for (unsigned I = 1; I < M.numChildren(T); ++I) {
-        Tri V = tri(M.child(T, I));
-        if (V == Tri::Unknown)
-          AllKnown = false;
-        else if (First != Tri::Unknown && V != First)
-          return Tri::False;
-      }
-      return AllKnown ? Tri::True : Tri::Unknown;
-    }
-    if (!isNumericSort(M.sort(M.child(T, 0))))
-      return Tri::Unknown;
-    bool AllEqualPoints = true;
-    Interval First = iv(M.child(T, 0));
-    for (unsigned I = 1; I < M.numChildren(T); ++I) {
-      Interval V = iv(M.child(T, I));
-      if (meet(First, V).Empty)
-        return Tri::False;
-      if (!(First.isFinite() && First.Lo == First.Hi && V.isFinite() &&
-            V.Lo == V.Hi && *First.Lo == *V.Lo))
-        AllEqualPoints = false;
-    }
-    return AllEqualPoints ? Tri::True : Tri::Unknown;
-  }
-  case Kind::Distinct: {
-    if (!isNumericSort(M.sort(M.child(T, 0))))
-      return Tri::Unknown;
-    bool AllDisjoint = true;
-    for (unsigned I = 0; I < M.numChildren(T); ++I)
-      for (unsigned J = I + 1; J < M.numChildren(T); ++J) {
-        Interval A = iv(M.child(T, I)), B = iv(M.child(T, J));
-        if (A.Empty || B.Empty)
-          return Tri::Unknown;
-        if (A.isFinite() && A.Lo == A.Hi && B.isFinite() && B.Lo == B.Hi &&
-            *A.Lo == *B.Lo)
-          return Tri::False;
-        if (!meet(A, B).Empty)
-          AllDisjoint = false;
-      }
-    return AllDisjoint ? Tri::True : Tri::Unknown;
-  }
-  case Kind::Le:
-    return cmpLe(iv(M.child(T, 0)), iv(M.child(T, 1)));
-  case Kind::Lt:
-    return cmpLt(iv(M.child(T, 0)), iv(M.child(T, 1)));
-  case Kind::Ge:
-    return cmpLe(iv(M.child(T, 1)), iv(M.child(T, 0)));
-  case Kind::Gt:
-    return cmpLt(iv(M.child(T, 1)), iv(M.child(T, 0)));
-  case Kind::Ite: {
-    Tri Cond = tri(M.child(T, 0));
-    if (Cond == Tri::True)
-      return tri(M.child(T, 1));
-    if (Cond == Tri::False)
-      return tri(M.child(T, 2));
-    Tri Then = tri(M.child(T, 1)), Else = tri(M.child(T, 2));
-    return Then == Else ? Then : Tri::Unknown;
-  }
-  default:
-    return Tri::Unknown;
-  }
-}
 
 //===--------------------------------------------------------------------===//
 // Backward contraction.
@@ -524,7 +272,7 @@ void Engine::contractFormula(Term T, bool Target, unsigned CIdx) {
       }
       return;
     }
-    if (!isNumericSort(M.sort(C0)))
+    if (!M.sort(C0).isUnbounded())
       return;
     if (Target) {
       Interval Meet = iv(C0);
@@ -543,7 +291,7 @@ void Engine::contractFormula(Term T, bool Target, unsigned CIdx) {
     return;
   }
   case Kind::Distinct: {
-    if (M.numChildren(T) != 2 || !isNumericSort(M.sort(M.child(T, 0))))
+    if (M.numChildren(T) != 2 || !M.sort(M.child(T, 0)).isUnbounded())
       return;
     Term A = M.child(T, 0), B = M.child(T, 1);
     if (Target) {
@@ -734,18 +482,7 @@ void Engine::contractTerm(Term T, const Interval &Target, unsigned CIdx) {
   case Kind::Mul: {
     // Narrow only degree-1 factors: inverting x^k needs k-th roots,
     // which exact rationals do not close over.
-    std::vector<std::pair<uint32_t, unsigned>> Groups;
-    for (Term Child : M.children(T)) {
-      bool Seen = false;
-      for (auto &[Id, Count] : Groups)
-        if (Id == Child.id()) {
-          ++Count;
-          Seen = true;
-          break;
-        }
-      if (!Seen)
-        Groups.emplace_back(Child.id(), 1);
-    }
+    std::vector<std::pair<uint32_t, unsigned>> Groups = factorGroups(M, T);
     for (const auto &[Id, Count] : Groups) {
       if (Count != 1)
         continue;
@@ -869,7 +606,7 @@ void Engine::pureLiteralPass() {
   }
   if (!Assigned)
     return;
-  Memo.clear();
+  Eval.clear();
   // Pure assignments are satisfiability-preserving choices, not entailed
   // facts: they may only *drop* conjuncts, never conclude unsat.
   for (Conjunct &C : Conjuncts)
@@ -906,7 +643,7 @@ bool Engine::relationalPass() {
     Z.constrainVar(Var.id(), It->second,
                    SIt != Sources.end() ? SIt->second : std::set<unsigned>{});
   }
-  Z.close(Opts.InjectBadClosure);
+  Z.close();
   if (!Z.consistent()) {
     // A negative cycle: the named difference constraints are jointly
     // unsatisfiable over the exact unbounded semantics.
@@ -1020,7 +757,7 @@ void Engine::materialize(PresolveResult &Out) {
         Out.Assertions.push_back(It->second ? Var : M.mkNot(Var));
       continue;
     }
-    if (!isNumericSort(S))
+    if (!S.isUnbounded())
       continue;
     auto It = Ranges.find(Var.id());
     if (It == Ranges.end() || It->second.isTop())

@@ -7,12 +7,13 @@
 /// \file
 /// A fixpoint contraction pass over an unbounded (Int/Real/Bool)
 /// assertion set, run by the pipeline before bound inference. It
-/// alternates forward interval evaluation with HC4-revise-style backward
-/// narrowing (analysis/Contract.h) and Boolean-structure simplification
-/// (unit propagation over top-level `and`, constant folding, pure-literal
-/// dropping), up to `config::PresolveMaxRounds` rounds. Everything runs
-/// on the *exact unbounded semantics* — no width clamps — so its
-/// conclusions are decisive, unlike the bounded pipeline's:
+/// alternates forward interval evaluation (analysis/BoxEvaluator.h) with
+/// HC4-revise-style backward narrowing (analysis/Contract.h) and
+/// Boolean-structure simplification (unit propagation over top-level
+/// `and`, constant folding, pure-literal dropping), up to
+/// `config::PresolveMaxRounds` rounds. Everything runs on the *exact
+/// unbounded semantics* — no width clamps — so its conclusions are
+/// decisive, unlike the bounded pipeline's:
 ///
 ///  * `TriviallyUnsat`: an empty interval (or false conjunct) was
 ///    derived, so the original constraint has no model. The contradicting
@@ -79,11 +80,6 @@ struct PresolveOptions {
   /// Int comparisons one off too tight, an unsound narrowing the
   /// presolve-equisat oracle must catch.
   bool InjectBadContract = false;
-  /// Fuzzer bug injection (--inject=bad-closure): drops every relaxation
-  /// through the last Floyd-Warshall pivot. Under-closure is sound for
-  /// the presolver's verdicts, so only the relational-soundness oracle's
-  /// triangle-consistency self-check exposes it.
-  bool InjectBadClosure = false;
 };
 
 /// One step of a TriviallyUnsat certificate: an original assertion that

@@ -111,7 +111,7 @@ enum class BugInjection : uint8_t {
   /// constraint. cache-consistency must fire.
   BadDigest,
   /// Make the zone closure drop every relaxation through the last
-  /// Floyd-Warshall pivot (analysis::PresolveOptions::InjectBadClosure).
+  /// Floyd-Warshall pivot (analysis::Zone::close(true)).
   /// Under-closure never produces a wrong verdict, so only the
   /// relational-soundness oracle's triangle-consistency self-check can
   /// expose it.

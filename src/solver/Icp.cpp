@@ -6,376 +6,38 @@
 
 #include "solver/Icp.h"
 
-#include "analysis/Contract.h"
 #include "support/Timer.h"
 
-#include <algorithm>
-#include <cassert>
 #include <deque>
 
 using namespace staub;
-
-//===--------------------------------------------------------------------===//
-// Interval arithmetic.
-//===--------------------------------------------------------------------===//
-
-Interval Interval::add(const Interval &RHS) const {
-  Interval Out;
-  if (Lo && RHS.Lo)
-    Out.Lo = *Lo + *RHS.Lo;
-  if (Hi && RHS.Hi)
-    Out.Hi = *Hi + *RHS.Hi;
-  return Out;
-}
-
-Interval Interval::neg() const {
-  Interval Out;
-  if (Hi)
-    Out.Lo = Hi->negated();
-  if (Lo)
-    Out.Hi = Lo->negated();
-  return Out;
-}
-
-Interval Interval::sub(const Interval &RHS) const { return add(RHS.neg()); }
-
-namespace {
-
-/// The nontrivial kernels (endpoint-infinity products, reciprocal
-/// division, dependency-aware powers) are shared with the presolver; see
-/// analysis/Contract.h. The two interval types are structurally
-/// identical except for the empty representation (crossing endpoints
-/// here, an explicit flag there).
-analysis::Interval toAnalysis(const Interval &I) {
-  if (I.isEmpty())
-    return analysis::Interval::bottom();
-  analysis::Interval Out;
-  Out.Lo = I.Lo;
-  Out.Hi = I.Hi;
-  return Out;
-}
-
-Interval fromAnalysis(const analysis::Interval &I) {
-  if (I.Empty)
-    return Interval::bounded(Rational(1), Rational(0));
-  Interval Out;
-  Out.Lo = I.Lo;
-  Out.Hi = I.Hi;
-  return Out;
-}
-
-} // namespace
-
-Interval Interval::mul(const Interval &RHS) const {
-  return fromAnalysis(analysis::mulFullI(toAnalysis(*this), toAnalysis(RHS)));
-}
-
-Interval Interval::div(const Interval &RHS) const {
-  return fromAnalysis(analysis::divFullI(toAnalysis(*this), toAnalysis(RHS)));
-}
-
-Interval Interval::abs() const {
-  return fromAnalysis(analysis::absI(toAnalysis(*this)));
-}
-
-Interval Interval::pow(unsigned N) const {
-  return fromAnalysis(analysis::powFullI(toAnalysis(*this), N));
-}
-
-Interval Interval::meet(const Interval &RHS) const {
-  Interval Out = *this;
-  if (RHS.Lo && (!Out.Lo || *Out.Lo < *RHS.Lo))
-    Out.Lo = RHS.Lo;
-  if (RHS.Hi && (!Out.Hi || *RHS.Hi < *Out.Hi))
-    Out.Hi = RHS.Hi;
-  return Out;
-}
-
-Interval Interval::roundToInt() const {
-  Interval Out;
-  if (Lo)
-    Out.Lo = Rational(Lo->ceil());
-  if (Hi)
-    Out.Hi = Rational(Hi->floor());
-  return Out;
-}
-
-std::string Interval::toString() const {
-  std::string Out = "[";
-  Out += Lo ? Lo->toString() : "-oo";
-  Out += ", ";
-  Out += Hi ? Hi->toString() : "+oo";
-  Out += "]";
-  return Out;
-}
-
-//===--------------------------------------------------------------------===//
-// IcpSolver.
-//===--------------------------------------------------------------------===//
+using namespace staub::analysis;
 
 IcpSolver::IcpSolver(TermManager &Manager, std::vector<Term> Asserts)
-    : Manager(Manager), Assertions(std::move(Asserts)) {
+    : Manager(Manager), Assertions(std::move(Asserts)),
+      Eval(
+          Manager,
+          [this](Term Var) {
+            auto It = Dimension.find(Var.id());
+            return It == Dimension.end() ? Interval::top()
+                                         : (*Judged)[It->second];
+          },
+          [](Term) { return Tri::Unknown; }) {
   Conjunction = Manager.mkAnd(Assertions);
-  Variables = Manager.collectVariables(Conjunction);
-  for (Term Var : Variables)
+  for (Term Var : Manager.collectVariables(Conjunction)) {
+    if (!Manager.sort(Var).isUnbounded())
+      continue;
+    Dimension.emplace(Var.id(), Variables.size());
+    Variables.push_back(Var);
     if (Manager.sort(Var).isInt())
       IntegerMode = true;
-}
-
-Interval
-IcpSolver::evalArith(Term T, const Box &B,
-                     std::unordered_map<uint32_t, Interval> &Memo) const {
-  auto Found = Memo.find(T.id());
-  if (Found != Memo.end())
-    return Found->second;
-
-  Interval Result = Interval::all();
-  switch (Manager.kind(T)) {
-  case Kind::ConstInt:
-    Result = Interval::point(Rational(Manager.intValue(T)));
-    break;
-  case Kind::ConstReal:
-    Result = Interval::point(Manager.realValue(T));
-    break;
-  case Kind::Variable: {
-    for (size_t I = 0; I < Variables.size(); ++I)
-      if (Variables[I] == T) {
-        Result = B[I];
-        break;
-      }
-    break;
-  }
-  case Kind::Neg:
-    Result = evalArith(Manager.child(T, 0), B, Memo).neg();
-    break;
-  case Kind::IntAbs:
-    Result = evalArith(Manager.child(T, 0), B, Memo).abs();
-    break;
-  case Kind::Add: {
-    Result = evalArith(Manager.child(T, 0), B, Memo);
-    for (unsigned I = 1; I < Manager.numChildren(T); ++I)
-      Result = Result.add(evalArith(Manager.child(T, I), B, Memo));
-    break;
-  }
-  case Kind::Sub: {
-    Result = evalArith(Manager.child(T, 0), B, Memo);
-    for (unsigned I = 1; I < Manager.numChildren(T); ++I)
-      Result = Result.sub(evalArith(Manager.child(T, I), B, Memo));
-    break;
-  }
-  case Kind::Mul: {
-    // Group identical factors so even powers are known non-negative
-    // (plain interval products lose the x*x dependency).
-    std::vector<std::pair<uint32_t, unsigned>> Groups;
-    for (Term Child : Manager.children(T)) {
-      bool Found = false;
-      for (auto &[Id, Count] : Groups)
-        if (Id == Child.id()) {
-          ++Count;
-          Found = true;
-          break;
-        }
-      if (!Found)
-        Groups.emplace_back(Child.id(), 1);
-    }
-    bool First = true;
-    for (const auto &[Id, Count] : Groups) {
-      Interval Factor = evalArith(Term(Id), B, Memo).pow(Count);
-      Result = First ? Factor : Result.mul(Factor);
-      First = false;
-    }
-    break;
-  }
-  case Kind::RealDiv:
-    Result = evalArith(Manager.child(T, 0), B, Memo)
-                 .div(evalArith(Manager.child(T, 1), B, Memo));
-    break;
-  case Kind::IntDiv: {
-    // Euclidean division: overapproximate via real division hull +-1.
-    Interval Quotient = evalArith(Manager.child(T, 0), B, Memo)
-                            .div(evalArith(Manager.child(T, 1), B, Memo));
-    if (Quotient.Lo)
-      Quotient.Lo = *Quotient.Lo - Rational(1);
-    if (Quotient.Hi)
-      Quotient.Hi = *Quotient.Hi + Rational(1);
-    Result = Quotient.roundToInt();
-    break;
-  }
-  case Kind::IntMod: {
-    // 0 <= mod < |divisor|.
-    Interval Divisor = evalArith(Manager.child(T, 1), B, Memo).abs();
-    Result.Lo = Rational(0);
-    if (Divisor.Hi)
-      Result.Hi = *Divisor.Hi;
-    break;
-  }
-  case Kind::Ite: {
-    TriState Cond = evalBool(Manager.child(T, 0), B, Memo);
-    Interval Then = evalArith(Manager.child(T, 1), B, Memo);
-    Interval Else = evalArith(Manager.child(T, 2), B, Memo);
-    if (Cond == TriState::True)
-      Result = Then;
-    else if (Cond == TriState::False)
-      Result = Else;
-    else {
-      // Hull of both branches.
-      Result = Then;
-      if (!Else.Lo || (Result.Lo && *Else.Lo < *Result.Lo))
-        Result.Lo = Else.Lo;
-      if (!Else.Hi || (Result.Hi && *Result.Hi < *Else.Hi))
-        Result.Hi = Else.Hi;
-    }
-    break;
-  }
-  default:
-    Result = Interval::all(); // Sound fallback.
-    break;
-  }
-  if (IntegerMode && Manager.sort(T).isInt())
-    Result = Result.roundToInt();
-  Memo.emplace(T.id(), Result);
-  return Result;
-}
-
-TriState
-IcpSolver::evalBool(Term T, const Box &B,
-                    std::unordered_map<uint32_t, Interval> &Memo) const {
-  switch (Manager.kind(T)) {
-  case Kind::ConstBool:
-    return Manager.boolValue(T) ? TriState::True : TriState::False;
-  case Kind::Not: {
-    TriState Inner = evalBool(Manager.child(T, 0), B, Memo);
-    if (Inner == TriState::True)
-      return TriState::False;
-    if (Inner == TriState::False)
-      return TriState::True;
-    return TriState::Unknown;
-  }
-  case Kind::And: {
-    bool AnyUnknown = false;
-    for (Term Child : Manager.children(T)) {
-      TriState V = evalBool(Child, B, Memo);
-      if (V == TriState::False)
-        return TriState::False;
-      if (V == TriState::Unknown)
-        AnyUnknown = true;
-    }
-    return AnyUnknown ? TriState::Unknown : TriState::True;
-  }
-  case Kind::Or: {
-    bool AnyUnknown = false;
-    for (Term Child : Manager.children(T)) {
-      TriState V = evalBool(Child, B, Memo);
-      if (V == TriState::True)
-        return TriState::True;
-      if (V == TriState::Unknown)
-        AnyUnknown = true;
-    }
-    return AnyUnknown ? TriState::Unknown : TriState::False;
-  }
-  case Kind::Xor: {
-    TriState A = evalBool(Manager.child(T, 0), B, Memo);
-    TriState BV = evalBool(Manager.child(T, 1), B, Memo);
-    if (A == TriState::Unknown || BV == TriState::Unknown)
-      return TriState::Unknown;
-    return A != BV ? TriState::True : TriState::False;
-  }
-  case Kind::Implies: {
-    TriState A = evalBool(Manager.child(T, 0), B, Memo);
-    if (A == TriState::False)
-      return TriState::True;
-    TriState BV = evalBool(Manager.child(T, 1), B, Memo);
-    if (BV == TriState::True)
-      return TriState::True;
-    if (A == TriState::True && BV == TriState::False)
-      return TriState::False;
-    return TriState::Unknown;
-  }
-  case Kind::Ite: {
-    TriState Cond = evalBool(Manager.child(T, 0), B, Memo);
-    if (Cond == TriState::True)
-      return evalBool(Manager.child(T, 1), B, Memo);
-    if (Cond == TriState::False)
-      return evalBool(Manager.child(T, 2), B, Memo);
-    TriState Then = evalBool(Manager.child(T, 1), B, Memo);
-    TriState Else = evalBool(Manager.child(T, 2), B, Memo);
-    return Then == Else ? Then : TriState::Unknown;
-  }
-  case Kind::Variable:
-    return TriState::Unknown; // Free boolean: either value possible.
-  case Kind::Eq: {
-    Term A = Manager.child(T, 0), C = Manager.child(T, 1);
-    if (Manager.sort(A).isBool()) {
-      TriState VA = evalBool(A, B, Memo);
-      TriState VC = evalBool(C, B, Memo);
-      if (VA == TriState::Unknown || VC == TriState::Unknown)
-        return TriState::Unknown;
-      return VA == VC ? TriState::True : TriState::False;
-    }
-    Interval IA = evalArith(A, B, Memo);
-    Interval IC = evalArith(C, B, Memo);
-    if (IA.isPoint() && IC.isPoint())
-      return *IA.Lo == *IC.Lo ? TriState::True : TriState::False;
-    // Disjoint intervals: definitely unequal.
-    if ((IA.Hi && IC.Lo && *IA.Hi < *IC.Lo) ||
-        (IC.Hi && IA.Lo && *IC.Hi < *IA.Lo))
-      return TriState::False;
-    return TriState::Unknown;
-  }
-  case Kind::Distinct: {
-    // Pairwise-negated equality; conservative tri-state.
-    auto Children = Manager.children(T);
-    bool AnyUnknown = false;
-    for (size_t I = 0; I < Children.size(); ++I)
-      for (size_t J = I + 1; J < Children.size(); ++J) {
-        Interval IA = evalArith(Children[I], B, Memo);
-        Interval IB = evalArith(Children[J], B, Memo);
-        if (IA.isPoint() && IB.isPoint()) {
-          if (*IA.Lo == *IB.Lo)
-            return TriState::False;
-          continue;
-        }
-        if ((IA.Hi && IB.Lo && *IA.Hi < *IB.Lo) ||
-            (IB.Hi && IA.Lo && *IB.Hi < *IA.Lo))
-          continue; // Definitely distinct.
-        AnyUnknown = true;
-      }
-    return AnyUnknown ? TriState::Unknown : TriState::True;
-  }
-  case Kind::Le:
-  case Kind::Lt:
-  case Kind::Ge:
-  case Kind::Gt: {
-    Kind K = Manager.kind(T);
-    Term LhsTerm = Manager.child(T, 0), RhsTerm = Manager.child(T, 1);
-    if (K == Kind::Ge || K == Kind::Gt) {
-      std::swap(LhsTerm, RhsTerm);
-      K = K == Kind::Ge ? Kind::Le : Kind::Lt;
-    }
-    Interval L = evalArith(LhsTerm, B, Memo);
-    Interval R = evalArith(RhsTerm, B, Memo);
-    if (K == Kind::Le) {
-      if (L.Hi && R.Lo && *L.Hi <= *R.Lo)
-        return TriState::True;
-      if (L.Lo && R.Hi && *R.Hi < *L.Lo)
-        return TriState::False;
-      return TriState::Unknown;
-    }
-    // Strict less-than.
-    if (L.Hi && R.Lo && *L.Hi < *R.Lo)
-      return TriState::True;
-    if (L.Lo && R.Hi && *R.Hi <= *L.Lo)
-      return TriState::False;
-    return TriState::Unknown;
-  }
-  default:
-    return TriState::Unknown; // Sound fallback for unhandled atoms.
   }
 }
 
-TriState IcpSolver::evalFormula(const Box &B) const {
-  std::unordered_map<uint32_t, Interval> Memo;
-  return evalBool(Conjunction, B, Memo);
+Tri IcpSolver::evalFormula(const Box &B) {
+  Judged = &B;
+  Eval.clear();
+  return Eval.tri(Conjunction);
 }
 
 bool IcpSolver::tryPoint(const std::vector<Rational> &Point,
@@ -484,25 +146,15 @@ SolveResult IcpSolver::solve(const IcpOptions &Options) {
   SolveResult Result;
   Cancel = Options.Cancel;
 
-  // Degenerate case: no variables.
-  if (Variables.empty()) {
-    TriState V = evalFormula({});
-    Result.Status = V == TriState::True    ? SolveStatus::Sat
-                    : V == TriState::False ? SolveStatus::Unsat
-                                           : SolveStatus::Unknown;
-    Result.TimeSeconds = Timer.elapsedSeconds();
-    return Result;
-  }
-
   // Global check over the unbounded box: the only way ICP proves unsat.
-  Box Unbounded(Variables.size(), Interval::all());
-  TriState Global = evalFormula(Unbounded);
-  if (Global == TriState::False) {
+  Box Unbounded(Variables.size(), Interval::top());
+  Tri Global = evalFormula(Unbounded);
+  if (Global == Tri::False) {
     Result.Status = SolveStatus::Unsat;
     Result.TimeSeconds = Timer.elapsedSeconds();
     return Result;
   }
-  if (Global == TriState::True && sampleBox(Unbounded, Result.TheModel)) {
+  if (Global == Tri::True && sampleBox(Unbounded, Result.TheModel)) {
     Result.Status = SolveStatus::Sat;
     Result.TimeSeconds = Timer.elapsedSeconds();
     return Result;
@@ -514,7 +166,7 @@ SolveResult IcpSolver::solve(const IcpOptions &Options) {
        BoundLog <= Options.MaxBoundLog; BoundLog += 4) {
     Rational Bound(BigInt::pow2(BoundLog));
     Box Root(Variables.size(),
-             Interval::bounded(Bound.negated(), Bound));
+             Interval::range(Bound.negated(), Bound));
 
     std::deque<Box> Work;
     Work.push_back(Root);
@@ -529,10 +181,10 @@ SolveResult IcpSolver::solve(const IcpOptions &Options) {
       Box Current = std::move(Work.front());
       Work.pop_front();
 
-      TriState V = evalFormula(Current);
-      if (V == TriState::False)
+      Tri V = evalFormula(Current);
+      if (V == Tri::False)
         continue;
-      if (V == TriState::True) {
+      if (V == Tri::True) {
         if (IntegerMode) {
           if (enumerateIntegerBox(Current, 4, Result.TheModel) ||
               sampleBox(Current, Result.TheModel)) {
@@ -585,13 +237,13 @@ SolveResult IcpSolver::solve(const IcpOptions &Options) {
       Rational Mid = (*Split.Lo + *Split.Hi) * Rational(BigInt(1), BigInt(2));
       if (IntegerMode)
         Mid = Rational(Mid.floor());
+      // Endpoints stay integral in integer mode, so with a width of at
+      // least 2 both halves are non-empty.
       Box Left = Current, Right = Current;
       Left[WidestVar].Hi = Mid;
       Right[WidestVar].Lo = IntegerMode ? Mid + Rational(1) : Mid;
-      if (!Left[WidestVar].isEmpty())
-        Work.push_back(std::move(Left));
-      if (!Right[WidestVar].isEmpty())
-        Work.push_back(std::move(Right));
+      Work.push_back(std::move(Left));
+      Work.push_back(std::move(Right));
     }
     // Box exhausted without a model; a larger box may still contain one.
   }

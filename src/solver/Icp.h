@@ -6,65 +6,30 @@
 ///
 /// \file
 /// Interval-based search for nonlinear integer and real arithmetic
-/// (MiniSMT's NIA/NRA engine, in the spirit of dReal-style ICP): exact
-/// rational interval arithmetic with unbounded endpoints, tri-state
-/// interval evaluation of full formulas, and branch-and-prune search with
-/// iterative deepening of the initial box. Candidate boxes are discharged
-/// with the exact evaluator, so a Sat answer always carries a checked
-/// model. This engine is intentionally the "slow unbounded path" that
-/// theory arbitrage routes around.
+/// (MiniSMT's NIA/NRA engine, in the spirit of dReal-style ICP):
+/// branch-and-prune over boxes of Int/Real variable ranges with iterative
+/// deepening of the initial box. Each box is judged by the presolver's
+/// tri-state evaluator (analysis/BoxEvaluator.h), so the two read every
+/// term kind alike; Bool variables are no box dimension and evaluate to
+/// Unknown. Candidate points are discharged with the exact evaluator, so
+/// a Sat answer always carries a checked model. This engine is
+/// intentionally the "slow unbounded path" that theory arbitrage routes
+/// around.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef STAUB_SOLVER_ICP_H
 #define STAUB_SOLVER_ICP_H
 
+#include "analysis/BoxEvaluator.h"
 #include "smtlib/Term.h"
 #include "solver/Solver.h"
 #include "support/Rational.h"
 
-#include <optional>
+#include <unordered_map>
 #include <vector>
 
 namespace staub {
-
-/// A closed rational interval, possibly unbounded on either side.
-struct Interval {
-  std::optional<Rational> Lo; ///< Absent = -infinity.
-  std::optional<Rational> Hi; ///< Absent = +infinity.
-
-  static Interval all() { return {}; }
-  static Interval point(Rational V) { return {V, V}; }
-  static Interval bounded(Rational Low, Rational High) {
-    return {std::move(Low), std::move(High)};
-  }
-
-  bool isEmpty() const { return Lo && Hi && *Hi < *Lo; }
-  bool isPoint() const { return Lo && Hi && *Lo == *Hi; }
-  bool contains(const Rational &V) const {
-    return (!Lo || *Lo <= V) && (!Hi || V <= *Hi);
-  }
-
-  Interval add(const Interval &RHS) const;
-  Interval sub(const Interval &RHS) const;
-  Interval neg() const;
-  Interval mul(const Interval &RHS) const;
-  /// Hull of the quotient; returns all() when RHS may be zero.
-  Interval div(const Interval &RHS) const;
-  Interval abs() const;
-  /// Interval power x^N with dependency awareness (even powers are
-  /// non-negative).
-  Interval pow(unsigned N) const;
-  /// Intersection (may be empty).
-  Interval meet(const Interval &RHS) const;
-  /// Shrinks to integral endpoints (ceil(lo), floor(hi)).
-  Interval roundToInt() const;
-
-  std::string toString() const;
-};
-
-/// Tri-state truth value of a formula over a box.
-enum class TriState { False, True, Unknown };
 
 /// Options controlling the ICP search.
 struct IcpOptions {
@@ -78,31 +43,35 @@ struct IcpOptions {
 };
 
 /// Branch-and-prune solver for a conjunction of assertions whose
-/// variables are all Int or all Real.
+/// numeric variables are all Int or all Real.
 class IcpSolver {
 public:
   IcpSolver(TermManager &Manager, std::vector<Term> Assertions);
+  /// Eval's variable lookup points into this object.
+  IcpSolver(const IcpSolver &) = delete;
 
   SolveResult solve(const IcpOptions &Options);
 
 private:
+  /// A box: one interval per numeric variable (indexed like Variables).
+  using Box = std::vector<analysis::Interval>;
+
   TermManager &Manager;
   std::vector<Term> Assertions;
   Term Conjunction;
+  /// The Int/Real variables, one box dimension each.
   std::vector<Term> Variables;
+  /// Variable id -> index into Variables.
+  std::unordered_map<uint32_t, size_t> Dimension;
   bool IntegerMode = false;
   /// Active token for the running solve() (also polled inside the integer
   /// point enumeration, whose boxes can hold thousands of candidates).
   const CancellationToken *Cancel = nullptr;
+  /// The box evalFormula() is judging; Eval reads variable ranges from it.
+  const Box *Judged = nullptr;
+  analysis::BoxEvaluator Eval;
 
-  /// A box: one interval per variable (indexed like Variables).
-  using Box = std::vector<Interval>;
-
-  Interval evalArith(Term T, const Box &B,
-                     std::unordered_map<uint32_t, Interval> &Memo) const;
-  TriState evalBool(Term T, const Box &B,
-                    std::unordered_map<uint32_t, Interval> &Memo) const;
-  TriState evalFormula(const Box &B) const;
+  analysis::Tri evalFormula(const Box &B);
 
   /// Tests a concrete point against the assertions with the exact
   /// evaluator; fills the model on success.

@@ -514,28 +514,23 @@ void relationalElide(TermManager &Manager, const std::vector<Term> &Originals,
     });
   }
 
+  // One pass in order. The same monotonicity makes retries useless: a
+  // candidate that fails stays unprovable as later elisions shrink the
+  // fact set further.
   std::vector<size_t> Elided; // Indices into Cands, in elision order.
-  bool Progress = true;
-  while (Progress) {
-    Progress = false;
-    for (size_t CI = 0; CI < Cands.size() && !Progress; ++CI) {
-      const GuardCandidate &C = Cands[CI];
-      if (!Kept[C.Index])
-        continue;
-      std::vector<char> Next = Kept;
-      Next[C.Index] = 0;
-      analysis::Octagon Oct = BuildOctagon(KeysOf(Next));
-      bool Ok = Provable(C, Oct);
-      for (size_t EI : Elided) {
-        if (!Ok)
-          break;
-        Ok = Provable(Cands[EI], Oct);
-      }
-      if (Ok) {
-        Kept = std::move(Next);
-        Elided.push_back(CI);
-        Progress = true;
-      }
+  for (size_t CI = 0; CI < Cands.size(); ++CI) {
+    std::vector<char> Next = Kept;
+    Next[Cands[CI].Index] = 0;
+    analysis::Octagon Oct = BuildOctagon(KeysOf(Next));
+    bool Ok = Provable(Cands[CI], Oct);
+    for (size_t EI : Elided) {
+      if (!Ok)
+        break;
+      Ok = Provable(Cands[EI], Oct);
+    }
+    if (Ok) {
+      Kept = std::move(Next);
+      Elided.push_back(CI);
     }
   }
   if (Elided.empty())

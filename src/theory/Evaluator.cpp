@@ -28,7 +28,7 @@ private:
 
   std::optional<Value> evalNode(Term T);
   std::optional<Value> evalLeaf(Term T);
-  std::optional<Value> evalArith(Kind K, Term T);
+  std::optional<Value> evalNumeric(Kind K, Term T);
   std::optional<Value> evalBitVec(Kind K, Term T);
   std::optional<Value> evalFp(Kind K, Term T);
 };
@@ -66,7 +66,7 @@ std::optional<Value> Evaluator::evalLeaf(Term T) {
   }
 }
 
-std::optional<Value> Evaluator::evalArith(Kind K, Term T) {
+std::optional<Value> Evaluator::evalNumeric(Kind K, Term T) {
   auto Children = Manager.children(T);
   bool IsInt = Manager.sort(Children[0]).isInt();
 
@@ -433,7 +433,7 @@ std::optional<Value> Evaluator::evalNode(Term T) {
   case Kind::Lt:
   case Kind::Ge:
   case Kind::Gt:
-    return evalArith(K, T);
+    return evalNumeric(K, T);
 
   default:
     if (K >= Kind::BvNeg && K <= Kind::BvSDivO)

@@ -12,6 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Contract.h"
 #include "analysis/Dataflow.h"
 #include "analysis/Interval.h"
 #include "analysis/KnownBits.h"
@@ -92,6 +93,64 @@ TEST(IntervalTest, OverflowImpossiblePredicate) {
   // Top operands are never provably safe.
   EXPECT_FALSE(
       overflowImpossible(Kind::BvSAddO, Interval::top(), Small, 16));
+}
+
+//===--------------------------------------------------------------------===//
+// Full-precision kernels (analysis/Contract.h), as the presolver and the
+// ICP search evaluate with them.
+//===--------------------------------------------------------------------===//
+
+Interval fromLo(int64_t Lo) {
+  Interval I;
+  I.Lo = Q(Lo);
+  return I;
+}
+
+TEST(IntervalTest, AddSubNeg) {
+  EXPECT_EQ(addI(rangeI(1, 3), rangeI(-2, 5)), rangeI(-1, 8));
+  EXPECT_EQ(subI(rangeI(1, 3), rangeI(-2, 5)), rangeI(-4, 5));
+  EXPECT_EQ(negI(rangeI(1, 3)), rangeI(-3, -1));
+}
+
+TEST(IntervalTest, UnboundedEndpoints) {
+  Interval Sum = addI(fromLo(3), rangeI(1, 2));
+  EXPECT_EQ(*Sum.Lo, Q(4));
+  EXPECT_FALSE(Sum.Hi.has_value());
+  Interval Negated = negI(fromLo(3));
+  EXPECT_FALSE(Negated.Lo.has_value());
+  EXPECT_EQ(*Negated.Hi, Q(-3));
+}
+
+TEST(IntervalTest, MulSignCases) {
+  EXPECT_EQ(mulFullI(rangeI(2, 3), rangeI(4, 5)), rangeI(8, 15));
+  EXPECT_EQ(mulFullI(rangeI(-3, 2), rangeI(-1, 4)), rangeI(-12, 8));
+  EXPECT_EQ(mulFullI(rangeI(-2, -1), rangeI(-4, -3)), rangeI(3, 8));
+  // Unbounded times positive keeps the finite side.
+  EXPECT_EQ(mulFullI(fromLo(1), rangeI(2, 3)), fromLo(2));
+}
+
+TEST(IntervalTest, DivisionRules) {
+  EXPECT_EQ(divFullI(rangeI(4, 8), rangeI(2, 4)), rangeI(1, 4));
+  // A divisor that may be zero leaves the quotient unconstrained.
+  EXPECT_TRUE(divFullI(rangeI(1, 2), rangeI(-1, 1)).isTop());
+  EXPECT_EQ(divFullI(rangeI(4, 8), rangeI(-2, -1)), rangeI(-8, -2));
+}
+
+TEST(IntervalTest, PowEvenOdd) {
+  EXPECT_EQ(powFullI(rangeI(-3, 2), 2), rangeI(0, 9)); // Even: >= 0.
+  EXPECT_EQ(powFullI(rangeI(-3, 2), 3), rangeI(-27, 8));
+  EXPECT_EQ(powFullI(rangeI(2, 3), 0), rangeI(1, 1));
+  EXPECT_EQ(powFullI(Interval::top(), 2), fromLo(0));
+}
+
+TEST(IntervalTest, AbsMeetRound) {
+  EXPECT_EQ(absI(rangeI(-5, 3)), rangeI(0, 5));
+  EXPECT_EQ(meet(rangeI(0, 10), rangeI(5, 20)), rangeI(5, 10));
+  // Emptiness is the flag, never crossed endpoints.
+  EXPECT_TRUE(meet(rangeI(0, 2), rangeI(3, 5)).Empty);
+  EXPECT_EQ(roundToIntI(Interval::range(Rational(BigInt(1), BigInt(2)),
+                                        Rational(BigInt(7), BigInt(2)))),
+            rangeI(1, 3));
 }
 
 //===--------------------------------------------------------------------===//

@@ -478,6 +478,20 @@ TEST(EvaluateQueryTest, NullCachesSolvesWithoutSharing) {
   EXPECT_EQ(R.CrossBlastHits + R.CrossBlastMisses, 0u);
 }
 
+TEST(EvaluateQueryTest, BoolVariableBesideNonlinearIntIsNotFatal) {
+  // The fallback reaches MiniSMT's interval search with a Bool variable
+  // in scope; x*x = 2 has no integer root, which that search cannot
+  // prove, so the answer is anything but sat.
+  QueryResult R = evaluateQuery("(declare-fun p () Bool)\n"
+                                "(declare-fun x () Int)\n"
+                                "(assert p)\n"
+                                "(assert (= (* x x) 2))\n"
+                                "(check-sat)\n",
+                                nullptr, 2.0);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_NE(R.Status, SolveStatus::Sat);
+}
+
 TEST(EvaluateQueryTest, EvictionUnderPressureKeepsAnswersCorrect) {
   // A cache far too small for even one query's working set: every
   // insertion evicts, and hits are rare-to-none. Verdicts must not

@@ -1,4 +1,4 @@
-//===- tests/solver_icp_test.cpp - Interval arithmetic unit tests ---------===//
+//===- tests/solver_icp_test.cpp - ICP branch-and-prune tests -------------===//
 //
 // Part of the STAUB reproduction.
 //
@@ -13,97 +13,6 @@
 using namespace staub;
 
 namespace {
-
-Rational rat(int64_t N, int64_t D = 1) { return Rational(BigInt(N), BigInt(D)); }
-
-Interval iv(int64_t Lo, int64_t Hi) {
-  return Interval::bounded(rat(Lo), rat(Hi));
-}
-
-TEST(IntervalTest, AddSubNeg) {
-  Interval A = iv(1, 3), B = iv(-2, 5);
-  Interval Sum = A.add(B);
-  EXPECT_EQ(*Sum.Lo, rat(-1));
-  EXPECT_EQ(*Sum.Hi, rat(8));
-  Interval Diff = A.sub(B);
-  EXPECT_EQ(*Diff.Lo, rat(-4));
-  EXPECT_EQ(*Diff.Hi, rat(5));
-  Interval Neg = A.neg();
-  EXPECT_EQ(*Neg.Lo, rat(-3));
-  EXPECT_EQ(*Neg.Hi, rat(-1));
-}
-
-TEST(IntervalTest, UnboundedEndpoints) {
-  Interval All = Interval::all();
-  EXPECT_FALSE(All.Lo.has_value());
-  EXPECT_FALSE(All.Hi.has_value());
-  Interval Half; // (-inf, +inf) -> set Lo only.
-  Half.Lo = rat(3);
-  Interval Sum = Half.add(iv(1, 2));
-  EXPECT_EQ(*Sum.Lo, rat(4));
-  EXPECT_FALSE(Sum.Hi.has_value());
-  Interval Negated = Half.neg();
-  EXPECT_FALSE(Negated.Lo.has_value());
-  EXPECT_EQ(*Negated.Hi, rat(-3));
-}
-
-TEST(IntervalTest, MulSignCases) {
-  EXPECT_EQ(*iv(2, 3).mul(iv(4, 5)).Lo, rat(8));
-  EXPECT_EQ(*iv(2, 3).mul(iv(4, 5)).Hi, rat(15));
-  EXPECT_EQ(*iv(-3, 2).mul(iv(-1, 4)).Lo, rat(-12));
-  EXPECT_EQ(*iv(-3, 2).mul(iv(-1, 4)).Hi, rat(8));
-  EXPECT_EQ(*iv(-2, -1).mul(iv(-4, -3)).Lo, rat(3));
-  EXPECT_EQ(*iv(-2, -1).mul(iv(-4, -3)).Hi, rat(8));
-  // Unbounded times positive.
-  Interval Pos;
-  Pos.Lo = rat(1);
-  Interval Product = Pos.mul(iv(2, 3));
-  EXPECT_EQ(*Product.Lo, rat(2));
-  EXPECT_FALSE(Product.Hi.has_value());
-}
-
-TEST(IntervalTest, DivisionRules) {
-  // Divisor strictly positive.
-  Interval Q = iv(4, 8).div(iv(2, 4));
-  EXPECT_EQ(*Q.Lo, rat(1));
-  EXPECT_EQ(*Q.Hi, rat(4));
-  // Divisor spanning zero: give up.
-  Interval All = iv(1, 2).div(iv(-1, 1));
-  EXPECT_FALSE(All.Lo.has_value());
-  EXPECT_FALSE(All.Hi.has_value());
-  // Strictly negative divisor.
-  Interval Neg = iv(4, 8).div(iv(-2, -1));
-  EXPECT_EQ(*Neg.Lo, rat(-8));
-  EXPECT_EQ(*Neg.Hi, rat(-2));
-}
-
-TEST(IntervalTest, PowEvenOdd) {
-  Interval Straddle = iv(-3, 2);
-  Interval Sq = Straddle.pow(2);
-  EXPECT_EQ(*Sq.Lo, rat(0)); // Even powers are non-negative.
-  EXPECT_EQ(*Sq.Hi, rat(9));
-  Interval Cu = Straddle.pow(3);
-  EXPECT_EQ(*Cu.Lo, rat(-27));
-  EXPECT_EQ(*Cu.Hi, rat(8));
-  EXPECT_EQ(*iv(2, 3).pow(0).Lo, rat(1));
-  // Unbounded square still has lower bound 0.
-  Interval AllSq = Interval::all().pow(2);
-  EXPECT_EQ(*AllSq.Lo, rat(0));
-  EXPECT_FALSE(AllSq.Hi.has_value());
-}
-
-TEST(IntervalTest, AbsMeetRound) {
-  Interval A = iv(-5, 3).abs();
-  EXPECT_EQ(*A.Lo, rat(0));
-  EXPECT_EQ(*A.Hi, rat(5));
-  Interval Met = iv(0, 10).meet(iv(5, 20));
-  EXPECT_EQ(*Met.Lo, rat(5));
-  EXPECT_EQ(*Met.Hi, rat(10));
-  EXPECT_TRUE(iv(3, 2).isEmpty());
-  Interval Rounded = Interval::bounded(rat(1, 2), rat(7, 2)).roundToInt();
-  EXPECT_EQ(*Rounded.Lo, rat(1));
-  EXPECT_EQ(*Rounded.Hi, rat(3));
-}
 
 //===--------------------------------------------------------------------===//
 // IcpSolver end-to-end on targeted instances.
@@ -154,6 +63,19 @@ TEST(IcpSolverTest, BudgetExhaustionIsUnknown) {
   Options.MaxNodes = 3;
   Options.TimeoutSeconds = 0.2;
   EXPECT_EQ(Solver.solve(Options).Status, SolveStatus::Unknown);
+}
+
+TEST(IcpSolverTest, BoolVariablesAreNoBoxDimension) {
+  // x*x = 2 has no integer root, which interval search cannot prove; the
+  // Bool variable must neither become a box dimension nor be bound to a
+  // number in a candidate model.
+  EXPECT_EQ(icpSolve("(declare-fun p () Bool)(declare-fun x () Int)"
+                     "(assert p)(assert (= (* x x) 2))",
+                     1.0),
+            SolveStatus::Unknown);
+  EXPECT_EQ(icpSolve("(declare-fun p () Bool)(declare-fun x () Int)"
+                     "(assert (or p (= (* x x) 49)))"),
+            SolveStatus::Sat);
 }
 
 TEST(IcpSolverTest, NoVariables) {

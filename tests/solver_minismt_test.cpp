@@ -239,6 +239,19 @@ TEST(MiniSmtNiaTest, SumOfCubesSmall) {
             SolveStatus::Sat);
 }
 
+TEST(MiniSmtNiaTest, ModByZeroIsUnconstrained) {
+  // SMT-LIB leaves (mod x 0) unspecified, so any value is a model: these
+  // are sat, and no interval argument may refute them.
+  EXPECT_NE(solveText("(declare-fun x () Int)"
+                      "(assert (= (mod x 0) 5))",
+                      1.0),
+            SolveStatus::Unsat);
+  EXPECT_NE(solveText("(declare-fun x () Int)"
+                      "(assert (= (mod (* x x) 0) 7))",
+                      1.0),
+            SolveStatus::Unsat);
+}
+
 TEST(MiniSmtNraTest, SimpleQuadratic) {
   EXPECT_EQ(solveText("(declare-fun x () Real)"
                       "(assert (> (* x x) 4.0))(assert (< x 10.0))"),
