@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string_view>
+
 using namespace staub;
 
 namespace {
@@ -207,6 +210,15 @@ struct EvalCase {
   int64_t X;
   bool Expected;
 };
+
+// Prints a case as its assertion and point. gtest's default byte dump shows
+// the script pointer and the struct padding, so the test names CMake builds
+// from it changed with every load address.
+void PrintTo(const EvalCase &C, std::ostream *OS) {
+  std::string_view S(C.Script);
+  S.remove_prefix(S.find("(assert "));
+  *OS << S << " at x=" << C.X;
+}
 
 class EvaluatorScriptTest : public ::testing::TestWithParam<EvalCase> {};
 
