@@ -9,10 +9,14 @@
 /// and translation run in time linear in the constraint's AST size, and
 /// T_check is de minimis. Each benchmark builds a chain-of-sums
 /// constraint with the requested node count; the reported time should
-/// scale ~linearly with the `/N` argument.
+/// scale ~linearly with the `/N` argument. BM_ZoneClose and
+/// BM_OctagonClose time one relational closure on a fixed 21-variable
+/// fact set shaped like the correlated suite's CorrChain family.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Octagon.h"
+#include "analysis/Zone.h"
 #include "smtlib/Term.h"
 #include "staub/BoundInference.h"
 #include "staub/Transform.h"
@@ -112,6 +116,76 @@ void BM_VerificationCheck(benchmark::State &State) {
   State.SetComplexityN(State.range(0));
 }
 BENCHMARK(BM_VerificationCheck)->Range(64, 8192)->Complexity(benchmark::oN);
+
+/// The CorrChain shape (benchgen correlatedChain) over v_0..v_20:
+/// v_0 - v_1 >= 1, v_i - v_{i+1} <= 3, every v_i >= 0, v_20 <= 900 and
+/// the sum breaker v_0 + v_1 >= 3.
+std::vector<Term> buildCorrChain(TermManager &M) {
+  constexpr unsigned K = 20;
+  auto C = [&](int64_t V) { return M.mkIntConst(BigInt(V)); };
+  std::vector<Term> V;
+  for (unsigned I = 0; I <= K; ++I)
+    V.push_back(M.mkVariable("cc_v" + std::to_string(I), Sort::integer()));
+  std::vector<Term> Out;
+  Out.push_back(
+      M.mkCompare(Kind::Ge, M.mkSub(std::vector<Term>{V[0], V[1]}), C(1)));
+  for (unsigned I = 0; I < K; ++I)
+    Out.push_back(M.mkCompare(
+        Kind::Le, M.mkSub(std::vector<Term>{V[I], V[I + 1]}), C(3)));
+  for (unsigned I = 0; I <= K; ++I)
+    Out.push_back(M.mkCompare(Kind::Ge, V[I], C(0)));
+  Out.push_back(M.mkCompare(Kind::Le, V[K], C(900)));
+  Out.push_back(
+      M.mkCompare(Kind::Ge, M.mkAdd(std::vector<Term>{V[0], V[1]}), C(3)));
+  return Out;
+}
+
+void BM_ZoneClose(benchmark::State &State) {
+  TermManager M;
+  std::vector<Term> Assertions = buildCorrChain(M);
+  analysis::Zone Base;
+  for (unsigned I = 0; I < Assertions.size(); ++I)
+    analysis::harvestZoneFacts(M, Assertions[I], I, Base);
+  bool Consistent = false;
+  for (auto _ : State) {
+    analysis::Zone Z = Base;
+    Consistent = Z.close();
+    benchmark::DoNotOptimize(Consistent);
+  }
+  State.counters["variables"] = Base.numVariables();
+  State.counters["consistent"] = Consistent;
+}
+BENCHMARK(BM_ZoneClose);
+
+void BM_OctagonClose(benchmark::State &State) {
+  // Registered as guard elision registers them: Int, seeded with the
+  // signed range of the width the relational pipeline infers (11 bits).
+  TermManager M;
+  std::vector<Term> Assertions = buildCorrChain(M);
+  analysis::Octagon Base;
+  analysis::Interval WidthRange =
+      analysis::Interval::range(Rational(-1024), Rational(1023));
+  for (Term A : Assertions)
+    for (Term Var : M.collectVariables(A)) {
+      if (Base.hasVariable(Var.id()))
+        continue;
+      Base.addVariable(Var.id(), /*IsInt=*/true);
+      Base.constrainVar(Var.id(), WidthRange);
+    }
+  unsigned Facts = 0;
+  for (const analysis::RelFact &F :
+       analysis::harvestRelationalFacts(M, Assertions))
+    Facts += Base.addFact(F);
+  bool Consistent = false;
+  for (auto _ : State) {
+    analysis::Octagon Oct = Base;
+    Consistent = Oct.close();
+    benchmark::DoNotOptimize(Consistent);
+  }
+  State.counters["facts"] = Facts;
+  State.counters["consistent"] = Consistent;
+}
+BENCHMARK(BM_OctagonClose);
 
 void BM_HashConsingLookup(benchmark::State &State) {
   TermManager M;

@@ -27,9 +27,9 @@ void Octagon::constrainVar(uint32_t VarId, const Interval &R) {
   unsigned P = posNode(VarId);
   // x <= hi doubles to D(+x, -x) <= 2*hi; x >= lo to D(-x, +x) <= -2*lo.
   if (R.Hi)
-    Bounds.push_back({P, P + 1, *R.Hi + *R.Hi, 0});
+    Bounds.push_back({P, P + 1, *R.Hi + *R.Hi});
   if (R.Lo)
-    Bounds.push_back({P + 1, P, -(*R.Lo + *R.Lo), 0});
+    Bounds.push_back({P + 1, P, -(*R.Lo + *R.Lo)});
 }
 
 bool Octagon::addFact(const RelFact &F) {
@@ -38,64 +38,23 @@ bool Octagon::addFact(const RelFact &F) {
   unsigned NX = posNode(F.X) + (F.SX > 0 ? 0 : 1);
   if (F.SY == 0) {
     // SX*x <= C doubles on the signed pair: D(node(x,SX), node(x,-SX)).
-    Bounds.push_back({NX, NX ^ 1u, F.C + F.C, F.Root});
+    Bounds.push_back({NX, NX ^ 1u, F.C + F.C});
     return true;
   }
   // SX*x + SY*y <= C: val(node(x,SX)) - val(node(y,-SY)) = SX*x + SY*y,
   // recorded with its coherent dual edge.
   unsigned NYDual = posNode(F.Y) + (F.SY > 0 ? 1 : 0);
-  Bounds.push_back({NX, NYDual, F.C, F.Root});
+  Bounds.push_back({NX, NYDual, F.C});
   unsigned NY = NYDual ^ 1u;
-  Bounds.push_back({NY, NX ^ 1u, F.C, F.Root});
+  Bounds.push_back({NY, NX ^ 1u, F.C});
   return true;
 }
 
 bool Octagon::close() {
-  Matrix.emplace(unsigned(Vars.size()) * 2);
+  Matrix.emplace(unsigned(Vars.size()) * 2, ExactWeights);
   for (const PendingBound &B : Bounds)
-    Matrix->tighten(B.I, B.J, B.C, {B.Root});
-  if (!Matrix->close())
-    return false;
-  // Strong closure: alternate the octagonal strengthening (and, for Int
-  // variables, even-tightening of the doubled unary bounds) with plain
-  // Floyd-Warshall. Two rounds lose only precision, never soundness; the
-  // trailing Floyd-Warshall pass restores triangle consistency.
-  unsigned N = Matrix->size();
-  for (unsigned Round = 0; Round < 2; ++Round) {
-    for (unsigned I = 0; I < N; ++I) {
-      const std::optional<Rational> &WI = Matrix->at(I, I ^ 1u);
-      if (!WI)
-        continue;
-      for (unsigned J = 0; J < N; ++J) {
-        if (J == I)
-          continue;
-        const std::optional<Rational> &WJ = Matrix->at(J ^ 1u, J);
-        if (!WJ)
-          continue;
-        std::set<unsigned> Srcs = Matrix->sourcesAt(I, I ^ 1u);
-        const std::set<unsigned> &More = Matrix->sourcesAt(J ^ 1u, J);
-        Srcs.insert(More.begin(), More.end());
-        Matrix->tighten(I, J, (*WI + *WJ) / Rational(2), Srcs);
-      }
-    }
-    for (unsigned K = 0; K < Vars.size(); ++K) {
-      if (!IsIntVar[K])
-        continue;
-      for (unsigned Node : {K * 2, K * 2 + 1}) {
-        const std::optional<Rational> &W = Matrix->at(Node, Node ^ 1u);
-        if (!W)
-          continue;
-        // D(+x, -x) = 2*sup(x) must be an even integer for integral x.
-        Rational Even = Rational((*W / Rational(2)).floor()) * Rational(2);
-        if (Even < *W)
-          Matrix->tighten(Node, Node ^ 1u, Even,
-                          Matrix->sourcesAt(Node, Node ^ 1u));
-      }
-    }
-    if (!Matrix->close())
-      return false;
-  }
-  return true;
+    Matrix->tighten(B.I, B.J, B.C);
+  return Matrix->strongClose(IsIntVar);
 }
 
 bool Octagon::consistent() const { return !Matrix || Matrix->consistent(); }
@@ -108,11 +67,11 @@ Interval Octagon::varInterval(uint32_t VarId) const {
   unsigned P = posNode(VarId);
   bool IsInt = IsIntVar[VarPair.at(VarId)];
   Interval Out;
-  if (const std::optional<Rational> &Hi = Matrix->at(P, P + 1)) {
+  if (std::optional<Rational> Hi = Matrix->at(P, P + 1)) {
     Rational H = *Hi / Rational(2);
     Out.Hi = IsInt ? Rational(H.floor()) : H;
   }
-  if (const std::optional<Rational> &Lo = Matrix->at(P + 1, P)) {
+  if (std::optional<Rational> Lo = Matrix->at(P + 1, P)) {
     Rational L = -(*Lo / Rational(2));
     Out.Lo = IsInt ? Rational(L.ceil()) : L;
   }
@@ -127,8 +86,7 @@ std::optional<Rational> Octagon::pairUpper(uint32_t X, int SX, uint32_t Y,
     return std::nullopt;
   unsigned NX = posNode(X) + (SX > 0 ? 0 : 1);
   unsigned NYDual = posNode(Y) + (SY > 0 ? 1 : 0);
-  const std::optional<Rational> &W = Matrix->at(NX, NYDual);
-  return W ? std::optional<Rational>(*W) : std::nullopt;
+  return Matrix->at(NX, NYDual);
 }
 
 //===----------------------------------------------------------------------===//
@@ -241,7 +199,7 @@ std::optional<LinForm> linearOf(const TermManager &M, Term T) {
 
 /// Records facts of one normalized atom `L <= R` (or `L < R`).
 void harvestRelLess(const TermManager &M, std::vector<RelFact> &Out, Term L,
-                    Term R, bool Strict, unsigned Root) {
+                    Term R, bool Strict) {
   auto CL = numericConstOf(M, L);
   auto CR = numericConstOf(M, R);
   Rational Adjust =
@@ -254,7 +212,6 @@ void harvestRelLess(const TermManager &M, std::vector<RelFact> &Out, Term L,
     F.SX = Negate ? -Form.SX : Form.SX;
     F.SY = Negate ? -Form.SY : Form.SY;
     F.C = std::move(C);
-    F.Root = Root;
     F.HasSource = Form.HasSource;
     F.SourceOp = Form.SourceOp;
     F.SourceA = Form.SourceA;
@@ -283,39 +240,33 @@ void harvestRelLess(const TermManager &M, std::vector<RelFact> &Out, Term L,
   }
 }
 
-void harvestRelFormula(const TermManager &M, std::vector<RelFact> &Out, Term T,
-                       unsigned Root) {
+void harvestRelFormula(const TermManager &M, std::vector<RelFact> &Out,
+                       Term T) {
   switch (M.kind(T)) {
   case Kind::And:
     for (Term Child : M.children(T))
-      harvestRelFormula(M, Out, Child, Root);
+      harvestRelFormula(M, Out, Child);
     return;
   case Kind::Le:
   case Kind::BvSle:
-    harvestRelLess(M, Out, M.child(T, 0), M.child(T, 1), /*Strict=*/false,
-                   Root);
+    harvestRelLess(M, Out, M.child(T, 0), M.child(T, 1), /*Strict=*/false);
     return;
   case Kind::Lt:
   case Kind::BvSlt:
-    harvestRelLess(M, Out, M.child(T, 0), M.child(T, 1), /*Strict=*/true,
-                   Root);
+    harvestRelLess(M, Out, M.child(T, 0), M.child(T, 1), /*Strict=*/true);
     return;
   case Kind::Ge:
   case Kind::BvSge:
-    harvestRelLess(M, Out, M.child(T, 1), M.child(T, 0), /*Strict=*/false,
-                   Root);
+    harvestRelLess(M, Out, M.child(T, 1), M.child(T, 0), /*Strict=*/false);
     return;
   case Kind::Gt:
   case Kind::BvSgt:
-    harvestRelLess(M, Out, M.child(T, 1), M.child(T, 0), /*Strict=*/true,
-                   Root);
+    harvestRelLess(M, Out, M.child(T, 1), M.child(T, 0), /*Strict=*/true);
     return;
   case Kind::Eq:
     if (M.numChildren(T) == 2 && !M.sort(M.child(T, 0)).isBool()) {
-      harvestRelLess(M, Out, M.child(T, 0), M.child(T, 1), /*Strict=*/false,
-                     Root);
-      harvestRelLess(M, Out, M.child(T, 1), M.child(T, 0), /*Strict=*/false,
-                     Root);
+      harvestRelLess(M, Out, M.child(T, 0), M.child(T, 1), /*Strict=*/false);
+      harvestRelLess(M, Out, M.child(T, 1), M.child(T, 0), /*Strict=*/false);
     }
     return;
   default:
@@ -329,8 +280,8 @@ std::vector<RelFact>
 analysis::harvestRelationalFacts(const TermManager &Manager,
                                  const std::vector<Term> &Assertions) {
   std::vector<RelFact> Out;
-  for (unsigned I = 0; I < Assertions.size(); ++I)
-    harvestRelFormula(Manager, Out, Assertions[I], I);
+  for (Term A : Assertions)
+    harvestRelFormula(Manager, Out, A);
   return Out;
 }
 

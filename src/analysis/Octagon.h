@@ -10,11 +10,12 @@
 /// Variable k owns two nodes, 2k (value +x_k) and 2k+1 (value -x_k); a
 /// DBM entry D(u, v) bounds val(u) - val(v), so every octagon constraint
 /// `sx*x + sy*y <= c` is the edge D(node(x, sx), node(y, -sy)) <= c.
-/// close() runs strong closure: Floyd-Warshall alternated with the
-/// octagonal strengthening step D(i,j) <= (D(i, bar i) + D(bar j, j))/2
-/// and (for Int variables) even-tightening of the doubled unary bounds,
-/// always ending on a plain Floyd-Warshall pass so the result is
-/// triangle-consistent.
+/// close() runs strong closure (Dbm::strongClose): Floyd-Warshall
+/// alternated with the octagonal strengthening step
+/// D(i,j) <= (D(i, bar i) + D(bar j, j))/2 and (for Int variables)
+/// even-tightening of the doubled unary bounds, always ending on a plain
+/// Floyd-Warshall pass so the result is triangle-consistent. The octagon
+/// keeps no provenance: its consumers only read bounds.
 ///
 /// Facts are harvested from assertion atoms in a canonical form
 /// (`RelFact`) that records *which* overflow-capable operation the atom
@@ -53,8 +54,6 @@ struct RelFact {
   int SX = 1;     ///< +1 or -1.
   int SY = 0;     ///< +1, -1, or 0 (unary).
   Rational C;
-  /// Index of the assertion the fact came from.
-  unsigned Root = 0;
   /// True when the atom reads through an Add/Sub/Neg (or BvAdd/BvSub/
   /// BvNeg) node whose overflow behaviour conditions the fact.
   bool HasSource = false;
@@ -98,6 +97,10 @@ std::vector<RelFact> harvestRelationalFacts(const TermManager &Manager,
 /// signed-node DBM.
 class Octagon {
 public:
+  /// \p ExactWeights closes on Rational weights throughout (the
+  /// reference for the int64 kernel, see Dbm).
+  explicit Octagon(bool ExactWeights = false) : ExactWeights(ExactWeights) {}
+
   /// Registers \p VarId (idempotent). \p IsInt enables the integer
   /// tightenings for this variable.
   void addVariable(uint32_t VarId, bool IsInt);
@@ -130,13 +133,13 @@ private:
   struct PendingBound {
     unsigned I, J;
     Rational C;
-    unsigned Root;
   };
 
   std::unordered_map<uint32_t, unsigned> VarPair;
   std::vector<uint32_t> Vars;
   std::vector<bool> IsIntVar;
   std::vector<PendingBound> Bounds;
+  bool ExactWeights;
   std::optional<Dbm> Matrix;
 };
 

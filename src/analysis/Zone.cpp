@@ -46,7 +46,7 @@ void Zone::constrainVar(uint32_t X, const Interval &R,
 }
 
 bool Zone::close(bool InjectBadClosure) {
-  Matrix.emplace(numVariables() + 1);
+  Matrix.emplace(numVariables() + 1, ExactWeights);
   for (const PendingEdge &E : Edges)
     Matrix->tighten(E.I, E.J, E.C, {E.Root});
   for (const PendingRange &S : Seeds) {
@@ -83,9 +83,9 @@ Interval Zone::varInterval(uint32_t X) const {
     return Interval::bottom();
   unsigned NX = node(X);
   Interval Out;
-  if (const std::optional<Rational> &Hi = Matrix->at(NX, 0))
-    Out.Hi = *Hi;
-  if (const std::optional<Rational> &Lo = Matrix->at(0, NX))
+  if (std::optional<Rational> Hi = Matrix->at(NX, 0))
+    Out.Hi = std::move(*Hi);
+  if (std::optional<Rational> Lo = Matrix->at(0, NX))
     Out.Lo = -*Lo;
   if (Out.Lo && Out.Hi && *Out.Hi < *Out.Lo)
     return Interval::bottom();
@@ -111,14 +111,7 @@ std::optional<Rational> Zone::potential(uint32_t X) const {
   // triangle inequality of the closed matrix, dist(i) - dist(j) <=
   // D(i,j) for every edge, so v_i = dist(i) - dist(0) satisfies every
   // zone constraint with the zero node pinned at 0.
-  auto Dist = [&](unsigned I) {
-    Rational D(0);
-    for (unsigned K = 0; K < Matrix->size(); ++K)
-      if (const std::optional<Rational> &W = Matrix->at(I, K); W && *W < D)
-        D = *W;
-    return D;
-  };
-  return Dist(node(X)) - Dist(0);
+  return Matrix->minOutgoing(node(X)) - Matrix->minOutgoing(0);
 }
 
 //===----------------------------------------------------------------------===//

@@ -40,6 +40,10 @@ namespace staub::analysis {
 /// closes the DBM, queries read the closed matrix.
 class Zone {
 public:
+  /// \p ExactWeights closes on Rational weights throughout (the
+  /// reference for the int64 kernel, see Dbm).
+  explicit Zone(bool ExactWeights = false) : ExactWeights(ExactWeights) {}
+
   /// Registers \p VarId (idempotent) and returns its DBM node index.
   unsigned addVariable(uint32_t VarId);
 
@@ -106,6 +110,7 @@ private:
   std::vector<uint32_t> Vars;
   std::vector<PendingEdge> Edges;
   std::vector<PendingRange> Seeds;
+  bool ExactWeights;
   std::optional<Dbm> Matrix;
 };
 

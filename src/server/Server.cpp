@@ -383,22 +383,32 @@ void StaubServer::workerLoop() {
       ++ActiveJobs;
     }
 
-    QueryResult R = evaluateQuery(J.SmtLib, &Caches, J.TimeoutSeconds,
-                                  &ShutdownCancel);
     std::string Line;
-    if (!R.Ok) {
+    try {
+      QueryResult R = evaluateQuery(J.SmtLib, &Caches, J.TimeoutSeconds,
+                                    &ShutdownCancel);
+      if (!R.Ok) {
+        QueriesFailed.fetch_add(1, std::memory_order_relaxed);
+        Line = "error " + J.Id + " parse " + R.Error + "\n";
+      } else {
+        QueriesServed.fetch_add(1, std::memory_order_relaxed);
+        char Seconds[32];
+        std::snprintf(Seconds, sizeof(Seconds), "%.6f", R.Seconds);
+        Line = "result " + J.Id + " " + std::string(toString(R.Status)) +
+               " path=" + R.Path + " width=" + std::to_string(R.Width) +
+               " seconds=" + Seconds +
+               " cross_hits=" + std::to_string(R.CrossBlastHits) +
+               " cross_misses=" + std::to_string(R.CrossBlastMisses) +
+               " clauses_reused=" + std::to_string(R.CrossClausesReused) +
+               "\n";
+      }
+    } catch (const std::exception &E) {
+      // A throw out of any stage fails this query only; letting it
+      // escape the worker thread would terminate the daemon.
       QueriesFailed.fetch_add(1, std::memory_order_relaxed);
-      Line = "error " + J.Id + " parse " + R.Error + "\n";
-    } else {
-      QueriesServed.fetch_add(1, std::memory_order_relaxed);
-      char Seconds[32];
-      std::snprintf(Seconds, sizeof(Seconds), "%.6f", R.Seconds);
-      Line = "result " + J.Id + " " + std::string(toString(R.Status)) +
-             " path=" + R.Path + " width=" + std::to_string(R.Width) +
-             " seconds=" + Seconds +
-             " cross_hits=" + std::to_string(R.CrossBlastHits) +
-             " cross_misses=" + std::to_string(R.CrossBlastMisses) +
-             " clauses_reused=" + std::to_string(R.CrossClausesReused) + "\n";
+      std::string What = E.what();
+      std::replace(What.begin(), What.end(), '\n', ' ');
+      Line = "error " + J.Id + " internal " + What + "\n";
     }
     respond(*J.Conn, Line);
 

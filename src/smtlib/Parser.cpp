@@ -8,6 +8,7 @@
 
 #include "smtlib/Lexer.h"
 
+#include <climits>
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
@@ -125,6 +126,9 @@ private:
 
   bool expect(TokenKind Kind, const char *What);
   void skipBalanced();
+  /// The value of a width or index numeral; a parse error (nullopt) when
+  /// it exceeds UINT_MAX.
+  std::optional<unsigned> indexValue(const Token &Tok);
 
   bool parseCommand(); ///< Returns false at end of input.
   std::optional<Sort> parseSort();
@@ -144,6 +148,21 @@ bool ParserImpl::expect(TokenKind Kind, const char *What) {
     return false;
   }
   return true;
+}
+
+std::optional<unsigned> ParserImpl::indexValue(const Token &Tok) {
+  uint64_t Value = 0;
+  for (char C : Tok.Text) {
+    Value = Value * 10 + unsigned(C - '0');
+    if (Value > UINT_MAX) {
+      std::string Shown = Tok.Text.size() > 24
+                              ? Tok.Text.substr(0, 24) + "..."
+                              : Tok.Text;
+      fail("index " + Shown + " is out of range", Tok.Line);
+      return std::nullopt;
+    }
+  }
+  return static_cast<unsigned>(Value);
 }
 
 void ParserImpl::skipBalanced() {
@@ -203,12 +222,14 @@ std::optional<Sort> ParserImpl::parseSort() {
     }
     if (!expect(TokenKind::RParen, "')'"))
       return std::nullopt;
-    unsigned W = static_cast<unsigned>(std::stoul(Width.Text));
-    if (W == 0) {
+    std::optional<unsigned> W = indexValue(Width);
+    if (!W)
+      return std::nullopt;
+    if (*W == 0) {
       fail("bitvector width must be positive", Width.Line);
       return std::nullopt;
     }
-    return Sort::bitVec(W);
+    return Sort::bitVec(*W);
   }
   if (Name.Text == "FloatingPoint") {
     Token Eb = Lex.next();
@@ -219,13 +240,15 @@ std::optional<Sort> ParserImpl::parseSort() {
     }
     if (!expect(TokenKind::RParen, "')'"))
       return std::nullopt;
-    unsigned EbVal = static_cast<unsigned>(std::stoul(Eb.Text));
-    unsigned SbVal = static_cast<unsigned>(std::stoul(Sb.Text));
-    if (EbVal < 2 || SbVal < 2) {
+    std::optional<unsigned> EbVal = indexValue(Eb);
+    std::optional<unsigned> SbVal = EbVal ? indexValue(Sb) : std::nullopt;
+    if (!SbVal)
+      return std::nullopt;
+    if (*EbVal < 2 || *SbVal < 2) {
       fail("floating-point widths must be at least 2", Name.Line);
       return std::nullopt;
     }
-    return Sort::floatingPoint({EbVal, SbVal});
+    return Sort::floatingPoint({*EbVal, *SbVal});
   }
   fail("unknown parameterized sort '" + Name.Text + "'", Name.Line);
   return std::nullopt;
@@ -278,10 +301,12 @@ Term ParserImpl::parseIndexedLeaf(size_t Line) {
       return fail("expected bitvector width", Width.Line);
     if (!expect(TokenKind::RParen, "')'"))
       return Term();
-    unsigned W = static_cast<unsigned>(std::stoul(Width.Text));
-    if (W == 0)
+    std::optional<unsigned> W = indexValue(Width);
+    if (!W)
+      return Term();
+    if (*W == 0)
       return fail("bitvector width must be positive", Width.Line);
-    return Manager.mkBitVecConst(BitVecValue(W, *Value));
+    return Manager.mkBitVecConst(BitVecValue(*W, *Value));
   }
   if (Name.Text == "+oo" || Name.Text == "-oo" || Name.Text == "NaN" ||
       Name.Text == "+zero" || Name.Text == "-zero") {
@@ -291,8 +316,11 @@ Term ParserImpl::parseIndexedLeaf(size_t Line) {
       return fail("expected floating-point widths", Name.Line);
     if (!expect(TokenKind::RParen, "')'"))
       return Term();
-    FpFormat Format{static_cast<unsigned>(std::stoul(Eb.Text)),
-                    static_cast<unsigned>(std::stoul(Sb.Text))};
+    std::optional<unsigned> EbVal = indexValue(Eb);
+    std::optional<unsigned> SbVal = EbVal ? indexValue(Sb) : std::nullopt;
+    if (!SbVal)
+      return Term();
+    FpFormat Format{*EbVal, *SbVal};
     if (Name.Text == "NaN")
       return Manager.mkFpConst(SoftFloat::nan(Format));
     if (Name.Text == "+oo")
@@ -420,8 +448,12 @@ Term ParserImpl::parseParenTerm(size_t Line) {
     if (Name.Kind != TokenKind::Symbol)
       return fail("expected indexed operator name", Name.Line);
     std::vector<unsigned> Indices;
-    while (Lex.peek().Kind == TokenKind::Numeral)
-      Indices.push_back(static_cast<unsigned>(std::stoul(Lex.next().Text)));
+    while (Lex.peek().Kind == TokenKind::Numeral) {
+      std::optional<unsigned> Index = indexValue(Lex.next());
+      if (!Index)
+        return Term();
+      Indices.push_back(*Index);
+    }
     if (!expect(TokenKind::RParen, "')' after indexed operator"))
       return Term();
     Term Operand = parseTerm();

@@ -86,27 +86,23 @@ protected:
   virtual Term translateNode(Term T) = 0;
 };
 
-/// Int -> BitVec translator with overflow guards. When elision is on, the
-/// original (Int-side) assertion conjunction is interval-analyzed with
-/// every Int node clamped to the signed range of the chosen width — the
-/// guarded-or-proven invariant makes that clamp a fact in any model that
-/// survives the remaining guards — and each guard whose operand intervals
-/// prove no overflow is dropped before solving.
+/// Int -> BitVec translator with overflow guards. When elision is on,
+/// \p Intervals is the interval analysis of the original (Int-side)
+/// assertion conjunction with every Int node clamped to the signed range
+/// of the chosen width — the guarded-or-proven invariant makes that clamp
+/// a fact in any model that survives the remaining guards — and each
+/// guard whose operand intervals prove no overflow is dropped before
+/// solving.
 class IntToBv : public Translator {
 public:
   IntToBv(TermManager &Manager, unsigned Width,
-          const std::vector<Term> &Originals, const TransformOptions &Options)
-      : Translator(Manager), Width(Width) {
-    if (Options.ElideGuards) {
-      analysis::IntervalOptions IOpts;
-      IOpts.ClampAllWidth = Width;
-      Intervals = analysis::analyzeIntervals(Manager, Originals, IOpts);
-    }
-  }
+          const analysis::IntervalSummary *Intervals)
+      : Translator(Manager), Width(Width), Intervals(Intervals) {}
 
 private:
   unsigned Width;
-  std::optional<analysis::IntervalSummary> Intervals;
+  /// Null when elision is off.
+  const analysis::IntervalSummary *Intervals;
 
   /// The Int-side interval of \p OriginalTerm (top when elision is off).
   Interval iv(Term OriginalTerm) const {
@@ -373,7 +369,9 @@ struct GuardCandidate {
 /// guard we elide stop being usable, which is what makes early elisions
 /// need revalidation.
 void relationalElide(TermManager &Manager, const std::vector<Term> &Originals,
-                     unsigned Width, TransformResult &Result) {
+                     unsigned Width,
+                     const analysis::IntervalSummary &Intervals,
+                     TransformResult &Result) {
   std::vector<analysis::RelFact> Facts =
       analysis::harvestRelationalFacts(Manager, Originals);
   Result.ZoneFactsHarvested = static_cast<unsigned>(Facts.size());
@@ -400,11 +398,6 @@ void relationalElide(TermManager &Manager, const std::vector<Term> &Originals,
   for (const auto &[OrigId, Mapped] : Result.VariableMap)
     Inverse.emplace(Mapped.id(), Term(OrigId));
 
-  // Int-side intervals under the same width clamp classic elision used.
-  analysis::IntervalOptions IOpts;
-  IOpts.ClampAllWidth = Width;
-  analysis::IntervalSummary Intervals =
-      analysis::analyzeIntervals(Manager, Originals, IOpts);
   Interval WidthRange = Interval::range(analysis::widthRangeLo(Width),
                                         analysis::widthRangeHi(Width));
 
@@ -475,16 +468,22 @@ void relationalElide(TermManager &Manager, const std::vector<Term> &Originals,
 
   // A fact reading through an unguarded source stays usable only if the
   // source is classically safe — the mirror of lint's validity rule
-  // (lint may additionally use known bits, accepting a superset).
-  auto ClassicallySafe = [&](const analysis::RelFact &F) {
+  // (lint may additionally use known bits, accepting a superset). Facts
+  // without a source, or with a classically safe one, are always usable.
+  std::vector<char> AlwaysUsable;
+  for (const analysis::RelFact &F : Facts) {
+    if (!F.HasSource) {
+      AlwaysUsable.push_back(1);
+      continue;
+    }
     Kind Pred = *analysis::overflowPredicateFor(F.SourceOp);
     const Interval &SA = Intervals.of(Term(F.SourceA));
     Interval SB =
         Pred == Kind::BvNegO ? Interval::top() : Intervals.of(Term(F.SourceB));
-    return analysis::overflowImpossible(Pred, SA, SB, Width,
-                                        analysis::KnownBits::top(),
-                                        analysis::KnownBits::top());
-  };
+    AlwaysUsable.push_back(analysis::overflowImpossible(
+        Pred, SA, SB, Width, analysis::KnownBits::top(),
+        analysis::KnownBits::top()));
+  }
 
   auto BuildOctagon = [&](const std::set<analysis::GuardKey> &Keys) {
     analysis::Octagon Oct;
@@ -492,10 +491,10 @@ void relationalElide(TermManager &Manager, const std::vector<Term> &Originals,
       Oct.addVariable(OrigId, /*IsInt=*/true);
       Oct.constrainVar(OrigId, WidthRange);
     }
-    for (const analysis::RelFact &F : Facts)
-      if (!F.HasSource || Keys.count(analysis::relFactSourceKey(F)) ||
-          ClassicallySafe(F))
-        Oct.addFact(F);
+    for (size_t FI = 0; FI < Facts.size(); ++FI)
+      if (AlwaysUsable[FI] ||
+          Keys.count(analysis::relFactSourceKey(Facts[FI])))
+        Oct.addFact(Facts[FI]);
     Oct.close();
     return Oct;
   };
@@ -561,11 +560,19 @@ TransformResult staub::transformIntToBv(TermManager &Manager,
                                         unsigned Width,
                                         const TransformOptions &Options) {
   assert(Width >= 1 && "bitvector width must be positive");
-  IntToBv Translator(Manager, Width, Assertions, Options);
+  // One Int-side interval analysis, under the width clamp, serves both
+  // classic and relational elision.
+  std::optional<analysis::IntervalSummary> Intervals;
+  if (Options.ElideGuards) {
+    analysis::IntervalOptions IOpts;
+    IOpts.ClampAllWidth = Width;
+    Intervals = analysis::analyzeIntervals(Manager, Assertions, IOpts);
+  }
+  IntToBv Translator(Manager, Width, Intervals ? &*Intervals : nullptr);
   TransformResult Result = Translator.run(Assertions);
   Result.Width = Width;
-  if (Result.Ok && Options.ElideGuards && Options.Relational)
-    relationalElide(Manager, Assertions, Width, Result);
+  if (Result.Ok && Intervals && Options.Relational)
+    relationalElide(Manager, Assertions, Width, *Intervals, Result);
   return Result;
 }
 

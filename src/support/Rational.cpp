@@ -87,15 +87,25 @@ Rational Rational::inverse() const {
   return Rational(Den, Num);
 }
 
+// Integer/integer operands (both denominators 1) work on the numerators
+// directly: the result is already normalized, so the cross-multiplies
+// and the gcd are skipped.
+
 Rational Rational::operator+(const Rational &RHS) const {
+  if (isInteger() && RHS.isInteger())
+    return Rational(Num + RHS.Num);
   return Rational(Num * RHS.Den + RHS.Num * Den, Den * RHS.Den);
 }
 
 Rational Rational::operator-(const Rational &RHS) const {
+  if (isInteger() && RHS.isInteger())
+    return Rational(Num - RHS.Num);
   return Rational(Num * RHS.Den - RHS.Num * Den, Den * RHS.Den);
 }
 
 Rational Rational::operator*(const Rational &RHS) const {
+  if (isInteger() && RHS.isInteger())
+    return Rational(Num * RHS.Num);
   return Rational(Num * RHS.Num, Den * RHS.Den);
 }
 
@@ -105,10 +115,14 @@ Rational Rational::operator/(const Rational &RHS) const {
 }
 
 bool Rational::operator<(const Rational &RHS) const {
+  if (isInteger() && RHS.isInteger())
+    return Num < RHS.Num;
   return Num * RHS.Den < RHS.Num * Den;
 }
 
 bool Rational::operator<=(const Rational &RHS) const {
+  if (isInteger() && RHS.isInteger())
+    return Num <= RHS.Num;
   return Num * RHS.Den <= RHS.Num * Den;
 }
 

@@ -592,6 +592,21 @@ TEST(ServerEndToEndTest, OversizedQueryClosesConnectionButServerLives) {
   ::close(Fd2);
 }
 
+TEST(ServerEndToEndTest, OverlongIndexIsAParseErrorAndServerLives) {
+  LiveServer Live;
+  int Fd = Live.connect();
+  ASSERT_TRUE(writeAll(
+      Fd, formatQuery("q1", "(declare-fun x () (_ BitVec "
+                            "99999999999999999999999))(check-sat)\n")));
+  std::string Buffer, Line;
+  ASSERT_TRUE(readResponseLine(Fd, Buffer, Line));
+  EXPECT_EQ(Line.substr(0, 15), "error q1 parse ") << Line;
+  ASSERT_TRUE(writeAll(Fd, "ping\n"));
+  ASSERT_TRUE(readResponseLine(Fd, Buffer, Line));
+  EXPECT_EQ(Line, "pong");
+  ::close(Fd);
+}
+
 TEST(ServerEndToEndTest, StatsVerbReportsCounters) {
   LiveServer Live;
   int Fd = Live.connect();

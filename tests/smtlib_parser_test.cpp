@@ -168,6 +168,62 @@ TEST(ParserTest, Diagnostics) {
   EXPECT_NE(R.Error.find("line 2"), std::string::npos);
 }
 
+// Width and index numerals beyond UINT_MAX are parse errors, never a
+// throw out of the parser or a silently truncated width.
+
+constexpr const char *Overlong = "99999999999999999999999";
+
+void expectIndexOutOfRange(const std::string &Script) {
+  TermManager M;
+  ParseResult R = parseSmtLib(M, Script);
+  EXPECT_FALSE(R.Ok) << Script;
+  EXPECT_NE(R.Error.find("out of range"), std::string::npos) << R.Error;
+}
+
+TEST(ParserTest, OverlongBitVecSortWidthIsAnError) {
+  expectIndexOutOfRange(std::string("(declare-fun x () (_ BitVec ") +
+                        Overlong + "))");
+  // One past UINT_MAX would otherwise truncate to a 0- or 1-bit sort.
+  expectIndexOutOfRange("(declare-fun x () (_ BitVec 4294967296))");
+  expectIndexOutOfRange("(declare-fun x () (_ BitVec 4294967297))");
+}
+
+TEST(ParserTest, OverlongFloatingPointSortWidthsAreErrors) {
+  expectIndexOutOfRange(std::string("(declare-fun f () (_ FloatingPoint ") +
+                        Overlong + " 24))");
+  expectIndexOutOfRange(
+      std::string("(declare-fun f () (_ FloatingPoint 8 ") + Overlong + "))");
+}
+
+TEST(ParserTest, OverlongBitVecLiteralWidthIsAnError) {
+  expectIndexOutOfRange(std::string("(assert (= (_ bv5 ") + Overlong +
+                        ") (_ bv5 8)))");
+}
+
+TEST(ParserTest, OverlongFloatingPointSpecialWidthsAreErrors) {
+  expectIndexOutOfRange(std::string("(assert (fp.isNaN (_ NaN ") + Overlong +
+                        " 24)))");
+  expectIndexOutOfRange(std::string("(assert (fp.isNaN (_ +oo 8 ") +
+                        Overlong + ")))");
+}
+
+TEST(ParserTest, OverlongOperatorIndexIsAnError) {
+  expectIndexOutOfRange(
+      std::string("(declare-fun x () (_ BitVec 8))(assert (= ((_ extract ") +
+      Overlong + " 0) x) x))");
+  expectIndexOutOfRange(
+      std::string("(declare-fun x () (_ BitVec 8))"
+                  "(assert (= ((_ zero_extend ") +
+      Overlong + ") x) x))");
+}
+
+TEST(ParserTest, LargestIndexInRangeStillParses) {
+  // UINT_MAX itself passes the range check.
+  TermManager M;
+  ParseResult R = parseSmtLib(M, "(declare-fun x () (_ BitVec 4294967295))");
+  EXPECT_TRUE(R.Ok) << R.Error;
+}
+
 TEST(ParserTest, AnnotationsPassThrough) {
   TermManager M;
   auto R = parseSmtLib(M, "(declare-fun x () Int)\n"

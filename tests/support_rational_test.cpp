@@ -99,6 +99,60 @@ TEST(RationalTest, ToDouble) {
   EXPECT_NEAR(Rational(BigInt(1), BigInt(3)).toDouble(), 1.0 / 3.0, 1e-12);
 }
 
+// +, -, * and the comparisons take a numerator-only path when both
+// operands are integers; the results must equal the general formula's.
+
+TEST(RationalTest, IntegerOperandsStayNormalized) {
+  Rational A(-7), B(3);
+  EXPECT_EQ((A + B).toString(), "-4");
+  EXPECT_EQ((A - B).toString(), "-10");
+  EXPECT_EQ((A * B).toString(), "-21");
+  EXPECT_TRUE((A + B).isInteger());
+  Rational Zero = B - B;
+  EXPECT_TRUE(Zero.isZero());
+  EXPECT_EQ(Zero, Rational(0));
+  EXPECT_EQ(Zero.denominator().toString(), "1");
+  EXPECT_LT(A, B);
+  EXPECT_LE(A, A);
+  EXPECT_FALSE(B < A);
+  EXPECT_FALSE(B <= A);
+}
+
+TEST(RationalTest, IntegerAgainstFraction) {
+  Rational Two(2);
+  Rational ThreeHalves(BigInt(3), BigInt(2));
+  EXPECT_EQ((Two + ThreeHalves).toString(), "7/2");
+  EXPECT_EQ((Two - ThreeHalves).toString(), "1/2");
+  EXPECT_EQ((ThreeHalves - Two).toString(), "-1/2");
+  EXPECT_EQ((Two * ThreeHalves).toString(), "3");
+  EXPECT_TRUE((Two * ThreeHalves).isInteger());
+  EXPECT_LT(ThreeHalves, Two);
+  EXPECT_FALSE(Two <= ThreeHalves);
+  // A fraction that sums back to an integer normalizes to denominator 1.
+  Rational Half(BigInt(1), BigInt(2));
+  EXPECT_EQ(ThreeHalves + Half, Two);
+  EXPECT_EQ((ThreeHalves + Half).denominator().toString(), "1");
+}
+
+TEST(RationalTest, MultiLimbIntegers) {
+  Rational Big(*BigInt::fromString("123456789012345678901234567890"));
+  Rational Neg(*BigInt::fromString("-98765432109876543210"));
+  EXPECT_EQ((Big + Neg).toString(), "123456788913580246791358024680");
+  EXPECT_EQ((Neg - Big).toString(), "-123456789111111111011111111100");
+  EXPECT_EQ((Big * Neg).toString(),
+            "-12193263113702179522496570642237463801111263526900");
+  EXPECT_LT(Neg, Big);
+  EXPECT_LE(Big, Big);
+  EXPECT_FALSE(Big < Neg);
+  // Carries across a limb boundary.
+  Rational Limb(BigInt(int64_t(1) << 32));
+  EXPECT_EQ((Limb - Rational(1)).toString(), "4294967295");
+  EXPECT_EQ((Limb * Limb).toString(), "18446744073709551616");
+  Rational Third(BigInt(1), BigInt(3));
+  EXPECT_EQ((Big + Third).toString(), "370370367037037036703703703671/3");
+  EXPECT_LT(Big, Big + Third);
+}
+
 struct RationalFieldCase {
   int64_t NumA, DenA, NumB, DenB;
 };
